@@ -1,37 +1,64 @@
-"""Hot numeric kernels: mod-p series convolution and mod-p elimination.
+"""Hot numeric kernels: mod-p series products and mod-p elimination.
 
-Two implementations are provided for each kernel:
+``poly_mul_mod`` is exact for every p below 2^62, at every length.  It
+multiplies by Kronecker substitution (Harvey, "Faster polynomial
+multiplication via multipoint Kronecker substitution", 2009): each
+coefficient array is packed into one Python integer, one coefficient per
+fixed-width slot, the two integers are multiplied, and the product's
+slots are read back as the coefficients of the product polynomial.  A
+slot holds any coefficient of the unreduced product, which is at most
+min(len(a), len(b)) * (p-1)^2, so no slot carries into the next.  The
+multiplication runs in CPython's big-integer code (Karatsuba), so the
+cost grows like (n log(n p^2))^1.58 and never overflows; packing and
+unpacking are numpy byte operations whenever a slot fits in 8 bytes.
+Slot widths are rounded up to 1, 2, 4 or 8 bytes, or beyond that to
+whole 8-byte words, so that every slot is one numpy integer or a row of
+them.
 
-* a numba ``@njit`` version (default when numba imports cleanly), and
-* a pure-numpy fallback.
-
-Set the environment variable ``BMLOCAL_PURE_NUMPY=1`` before import to
-force the fallback.  ``benchmarks/bench_kernels.py`` compares the two.
-
-All inputs are int64 numpy arrays with entries already reduced mod p.
-Coefficients stay well inside int64: lengths are <= a few hundred and
-p is a small prime, so intermediate dot products are bounded by
-len * (p-1)^2 << 2^63.
+Inputs are int64 arrays (or sequences) with entries already reduced
+mod p, and p < 2^62.
 """
-
-import os
 
 import numpy as np
 
-__all__ = ["poly_mul_mod", "gf_rank", "USING_NUMBA"]
+__all__ = ["poly_mul_mod", "gf_rank"]
 
 
-def _poly_mul_mod_numpy(a, b, p, n):
-    """Coefficients 0..n-1 of a*b mod p (full convolution, then truncate)."""
-    c = np.convolve(a, b)[:n] % p
+def _pack(a, width: int) -> int:
+    """The integer whose width-byte little-endian slots hold a's entries."""
+    unit = min(width, 8)
+    slots = np.zeros((a.shape[0], width // unit), dtype=f"<u{unit}")
+    slots[:, 0] = a
+    return int.from_bytes(slots.tobytes(), "little")
+
+
+def poly_mul_mod(a, b, p, n):
+    """First n coefficients of the product of coefficient arrays a, b mod p."""
+    a = np.ascontiguousarray(a[:n], dtype=np.int64)
+    b = np.ascontiguousarray(b[:n], dtype=np.int64)
     out = np.zeros(n, dtype=np.int64)
-    out[: c.shape[0]] = c
+    if a.shape[0] == 0 or b.shape[0] == 0:
+        return out
+    bound = min(a.shape[0], b.shape[0]) * (p - 1) ** 2
+    nbytes = -(-bound.bit_length() // 8)
+    # slots are 1, 2, 4 or 8 bytes (one numpy integer each), or whole words
+    width = 1 << (nbytes - 1).bit_length() if nbytes <= 8 else -(-nbytes // 8) * 8
+    top = min(n, a.shape[0] + b.shape[0] - 1)
+    prod = _pack(a, width) * _pack(b, width)
+    raw = (prod & ((1 << (8 * width * top)) - 1)).to_bytes(width * top, "little")
+    if width <= 8:
+        out[:top] = np.frombuffer(raw, dtype=f"<u{width}") % p
+    else:
+        out[:top] = [int.from_bytes(raw[i * width:(i + 1) * width], "little") % p
+                     for i in range(top)]
     return out
 
 
-def _gf_rank_numpy(mat, p):
-    """Rank of a matrix over F_p by vectorized row elimination."""
-    m = mat % p
+def gf_rank(mat, p):
+    """Rank over F_p of an integer matrix, by vectorized row elimination."""
+    m = np.ascontiguousarray(mat, dtype=np.int64) % p
+    if m.size == 0:
+        return 0
     rows, cols = m.shape
     rank = 0
     for j in range(cols):
@@ -53,87 +80,3 @@ def _gf_rank_numpy(mat, p):
         if rank == rows:
             break
     return rank
-
-
-_force_numpy = os.environ.get("BMLOCAL_PURE_NUMPY", "") == "1"
-
-USING_NUMBA = False
-if not _force_numpy:
-    try:
-        from numba import njit
-
-        @njit(cache=True)
-        def _poly_mul_mod_numba(a, b, p, n):  # pragma: no cover - jitted
-            out = np.zeros(n, dtype=np.int64)
-            la = a.shape[0]
-            lb = b.shape[0]
-            for i in range(min(la, n)):
-                ai = a[i]
-                if ai == 0:
-                    continue
-                top = min(lb, n - i)
-                for j in range(top):
-                    out[i + j] = (out[i + j] + ai * b[j]) % p
-            return out
-
-        @njit(cache=True)
-        def _gf_rank_numba(mat, p):  # pragma: no cover - jitted
-            m = mat.copy() % p
-            rows, cols = m.shape
-            rank = 0
-            for j in range(cols):
-                piv = -1
-                for i in range(rank, rows):
-                    if m[i, j] != 0:
-                        piv = i
-                        break
-                if piv < 0:
-                    continue
-                if piv != rank:
-                    for k in range(cols):
-                        tmp = m[rank, k]
-                        m[rank, k] = m[piv, k]
-                        m[piv, k] = tmp
-                # inverse of the pivot by Fermat
-                inv = 1
-                base = m[rank, j] % p
-                exp = p - 2
-                while exp > 0:
-                    if exp & 1:
-                        inv = (inv * base) % p
-                    base = (base * base) % p
-                    exp >>= 1
-                for k in range(cols):
-                    m[rank, k] = (m[rank, k] * inv) % p
-                for i in range(rows):
-                    if i != rank and m[i, j] != 0:
-                        f = m[i, j]
-                        for k in range(cols):
-                            m[i, k] = (m[i, k] - f * m[rank, k]) % p
-                rank += 1
-                if rank == rows:
-                    break
-            return rank
-
-        USING_NUMBA = True
-    except Exception:  # numba unavailable or broken: fall back silently
-        USING_NUMBA = False
-
-
-def poly_mul_mod(a, b, p, n):
-    """First n coefficients of the product of coefficient arrays a, b mod p."""
-    a = np.ascontiguousarray(a, dtype=np.int64)
-    b = np.ascontiguousarray(b, dtype=np.int64)
-    if USING_NUMBA:
-        return _poly_mul_mod_numba(a, b, p, n)
-    return _poly_mul_mod_numpy(a, b, p, n)
-
-
-def gf_rank(mat, p):
-    """Rank over F_p of an integer matrix."""
-    mat = np.ascontiguousarray(mat, dtype=np.int64)
-    if mat.size == 0:
-        return 0
-    if USING_NUMBA:
-        return int(_gf_rank_numba(mat, p))
-    return int(_gf_rank_numpy(mat, p))

@@ -24,6 +24,7 @@ from .errors import (
     ConvergenceConditionViolated,
     IntegralityViolated,
     NonIntegralLimit,
+    NonTerminating,
     SingularMatrix,
 )
 from .series import LaurentSeriesMatrix
@@ -95,7 +96,8 @@ def torsor_solve(
     """The unique g0 = 1 mod u^N with g0^{-1} C phi(g0) = g C.
 
     ``start`` overrides the initial iterate (used for uniqueness checks);
-    the limit does not depend on it.
+    the limit does not depend on it.  Raises NonTerminating if the
+    iterates have not stabilised within the iteration cap.
     """
     p = bk.p
     M = bk.prec
@@ -122,7 +124,7 @@ def torsor_solve(
         if x.is_integral() and x_new.eq_mod(x, m):
             return x_new
         x = x_new
-    return x
+    raise NonTerminating(f"torsor iteration did not stabilise within {cap} steps")
 
 
 def inverse_direction_check(bk: BKMatrix, g0: LaurentSeriesMatrix) -> LaurentSeriesMatrix:

@@ -43,6 +43,7 @@ from .grassmannian import (
 from .hilbert import defect_degree, equality_forcing_check, shifted_identity_check
 from .interpolation import interpolate_claim, nu_invariant
 from .localfield import TameFieldContext
+from .primes import require_prime
 from .series import LaurentSeriesMatrix, TruncSeries
 from .weights import EmbeddingData, HodgeType, dual_weight, validate_hodge_bound
 
@@ -67,9 +68,14 @@ def _known_keys(config: dict, allowed: set):
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
 
 
-def _hodge_from_config(config: dict) -> HodgeType:
+def _field_from_config(config: dict) -> tuple[int, int, int]:
+    """(p, e, f) from the config's "field"; refuses a p that is not prime."""
     fld = config["field"]
-    emb = EmbeddingData.standard(int(fld["p"]), int(fld["e"]), int(fld.get("f", 1)))
+    return require_prime(int(fld["p"])), int(fld["e"]), int(fld.get("f", 1))
+
+
+def _hodge_from_config(config: dict) -> HodgeType:
+    emb = EmbeddingData.standard(*_field_from_config(config))
     mus = [tuple(int(x) for x in w) for w in config["mu"]]
     if len(mus) != len(emb.embeddings):
         raise ValueError("need one weight per embedding (f*e of them)")
@@ -195,8 +201,7 @@ def _matrix_from_config(entry, prec: int, p: int) -> LaurentSeriesMatrix:
 
 def cmd_bk_torsor(config: dict) -> dict:
     _known_keys(config, {"field", "C", "g", "h", "N", "modulus", "task", "seed"})
-    fld = config["field"]
-    p, e = int(fld["p"]), int(fld["e"])
+    p, e, _ = _field_from_config(config)
     M = int(config.get("modulus", 64))
     C = _matrix_from_config(config["C"], M, p)
     g = _matrix_from_config(config["g"], M, p)
@@ -220,8 +225,7 @@ def cmd_interpolate(config: dict) -> dict:
         config,
         {"field", "m", "r", "target", "precision", "override_bounds", "task", "seed"},
     )
-    fld = config["field"]
-    p, e = int(fld["p"]), int(fld["e"])
+    p, e, _ = _field_from_config(config)
     prec = config.get("precision")
     ctx = TameFieldContext(p, e, prec=int(prec) if prec else None)
     m_coeffs = [ctx.from_rational(x) for x in config["m"]]

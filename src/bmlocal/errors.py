@@ -25,6 +25,7 @@ __all__ = [
     "IntegralityViolated",
     "IntegralityFailure",
     "WildRamification",
+    "NotPrime",
 ]
 
 
@@ -102,3 +103,7 @@ class IntegralityFailure(BMLocalError):
 
 class WildRamification(BMLocalError):
     """Requested a wildly ramified context (gcd(e, p) != 1): refused."""
+
+
+class NotPrime(BMLocalError):
+    """A characteristic p required to be prime is not (or cannot be certified)."""

@@ -24,6 +24,7 @@ import math
 from fractions import Fraction
 
 from .errors import IndeterminateValuation, WildRamification
+from .primes import require_prime
 
 __all__ = ["TameFieldContext", "LocalFieldElement", "lf_valuation"]
 
@@ -137,8 +138,7 @@ class TameFieldContext:
     """Shared data for one tame extension: p, e, zeta tables, precision."""
 
     def __init__(self, p: int, e: int, prec: int | None = None):
-        if p < 2:
-            raise ValueError("p must be a prime >= 2")
+        require_prime(p)
         if e < 1:
             raise ValueError("e must be >= 1")
         if math.gcd(p, e) != 1:

@@ -12,11 +12,14 @@ from __future__ import annotations
 import numpy as np
 
 from ._kernels import poly_mul_mod
-from .errors import PrecisionExhausted, SingularMatrix
+from .errors import BoundViolated, PrecisionExhausted, SingularMatrix
+from .primes import require_prime
 
 __all__ = ["TruncSeries", "series_phi", "LaurentSeriesMatrix"]
 
 MIN_PRECISION = 1
+# Below this, sums and differences of two reduced coefficients fit in int64.
+MAX_CHARACTERISTIC = 2**62
 
 
 class TruncSeries:
@@ -29,8 +32,12 @@ class TruncSeries:
             raise ValueError("only prime fields are supported (q must equal p)")
         if prec < MIN_PRECISION:
             raise PrecisionExhausted(f"precision {prec} below floor {MIN_PRECISION}")
+        if p >= MAX_CHARACTERISTIC:
+            raise BoundViolated(f"p = {p} is not below 2^62")
         arr = np.zeros(prec, dtype=np.int64)
-        coeffs = np.asarray(list(coeffs), dtype=np.int64)
+        if not isinstance(coeffs, np.ndarray):
+            coeffs = list(coeffs)
+        coeffs = np.asarray(coeffs, dtype=np.int64)
         n = min(prec, coeffs.shape[0])
         arr[:n] = coeffs[:n] % p
         self.coeffs = arr
@@ -117,7 +124,8 @@ class TruncSeries:
 
     def __mul__(self, other) -> "TruncSeries":
         if isinstance(other, int):
-            return TruncSeries((self.coeffs * (other % self.p)) % self.p,
+            return TruncSeries(poly_mul_mod(self.coeffs, [other % self.p],
+                                            self.p, self.prec),
                                self.prec, self.p)
         m = self._common(other)
         return TruncSeries(poly_mul_mod(self.coeffs, other.coeffs, self.p, m),
@@ -145,20 +153,30 @@ class TruncSeries:
         return TruncSeries(self.coeffs[k:], self.prec - k, self.p)
 
     def inverse(self) -> "TruncSeries":
-        """Multiplicative inverse of a unit series, to the same precision."""
+        """Multiplicative inverse of a unit series, to the same precision.
+
+        Newton iteration (von zur Gathen and Gerhard, *Modern Computer
+        Algebra*, ch. 9): if f*g = 1 + u^k h mod u^{2k}, then
+        g - u^k (g h) is the inverse mod u^{2k}.  Starting from the Fermat
+        inverse of the constant term, each step doubles the known
+        precision with two products of length at most 2k.  The lengths
+        form a geometric series, so the whole inverse costs at most about
+        three products of length M (see ``poly_mul_mod``), against the M^2/2
+        multiply-adds of the term-by-term recurrence.  Raises NotPrime
+        unless p is prime.
+        """
         if not self.is_unit():
             raise ZeroDivisionError("not a unit series (zero constant term)")
-        p, m = self.p, self.prec
-        inv0 = pow(int(self.coeffs[0]), p - 2, p)
-        out = np.zeros(m, dtype=np.int64)
-        out[0] = inv0
-        for k in range(1, m):
-            acc = 0
-            top = min(k, m - 1)
-            for i in range(1, top + 1):
-                acc += int(self.coeffs[i]) * int(out[k - i])
-            out[k] = (-inv0 * acc) % p
-        return TruncSeries(out, m, self.p)
+        p, m, f = self.p, self.prec, self.coeffs
+        require_prime(p)
+        g = np.array([pow(int(f[0]), p - 2, p)], dtype=np.int64)
+        k = 1
+        while k < m:
+            k2 = min(2 * k, m)
+            h = poly_mul_mod(f[:k2], g, p, k2)[k:]
+            g = np.concatenate([g, -poly_mul_mod(g, h, p, k2 - k) % p])
+            k = k2
+        return TruncSeries(g, m, p)
 
     def truncate(self, prec: int) -> "TruncSeries":
         if prec > self.prec:
@@ -178,9 +196,7 @@ def series_phi(s: TruncSeries, working_modulus: int | None = None) -> TruncSerie
         new_prec = min(new_prec, working_modulus)
     out = np.zeros(new_prec, dtype=np.int64)
     top = min(s.prec, (new_prec + p - 1) // p)
-    for i in range(top):
-        if i * p < new_prec:
-            out[i * p] = s.coeffs[i]
+    out[: top * p : p] = s.coeffs[:top]
     return TruncSeries(out, new_prec, p)
 
 

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from bmlocal import breuil_kisin
 from bmlocal.breuil_kisin import (
     BKMatrix,
     height_check,
@@ -11,7 +12,11 @@ from bmlocal.breuil_kisin import (
     phi_conjugate,
     torsor_solve,
 )
-from bmlocal.errors import ConvergenceConditionViolated, IntegralityViolated
+from bmlocal.errors import (
+    ConvergenceConditionViolated,
+    IntegralityViolated,
+    NonTerminating,
+)
 from bmlocal.series import LaurentSeriesMatrix, TruncSeries
 
 
@@ -116,6 +121,17 @@ def test_convergence_gate():
     g = _random_g(rng, 1, 2, prec, p)  # (p-1)N - 1 = 1 < eh = 3
     with pytest.raises(ConvergenceConditionViolated):
         torsor_solve(bk, g, 2)
+
+
+def test_iteration_cap_is_enforced(monkeypatch):
+    rng = random.Random(13)
+    prec, p, e, N = 64, 3, 1, 1
+    bk = _random_height_one(rng, 2, e, prec, p)
+    g = _random_g(rng, 2, N, prec, p)
+    torsor_solve(bk, g, N)  # converges under the real cap
+    monkeypatch.setattr(breuil_kisin, "_iteration_cap", lambda p, M: 1)
+    with pytest.raises(NonTerminating):
+        torsor_solve(bk, g, N)
 
 
 def test_g_congruence_gate():

@@ -60,6 +60,15 @@ def test_failing_check_exits_nonzero(tmp_path):
     assert not report["pass"]
 
 
+def test_composite_field_refused(tmp_path):
+    cfg = {"field": {"p": 6, "e": 1}, "C": [[[1]]], "g": [[[1]]], "N": 1,
+           "modulus": 8}
+    code, text = run_cli(tmp_path, "bk-torsor", cfg)
+    assert code == 1
+    report = json.loads(text)
+    assert report["error"] == "NotPrime" and not report["pass"]
+
+
 def test_decompose_command(tmp_path):
     cfg = {"weights": [[1, 0], [1, 0]]}
     code, text = run_cli(tmp_path, "decompose", cfg)

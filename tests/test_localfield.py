@@ -5,13 +5,18 @@ from fractions import Fraction
 
 import pytest
 
-from bmlocal.errors import IndeterminateValuation, WildRamification
+from bmlocal.errors import IndeterminateValuation, NotPrime, WildRamification
 from bmlocal.localfield import TameFieldContext, lf_valuation
 
 
 def test_wild_ramification_refused():
     with pytest.raises(WildRamification):
         TameFieldContext(5, 10)  # p | e
+
+
+def test_composite_p_refused():
+    with pytest.raises(NotPrime):
+        TameFieldContext(9, 2)
 
 
 def test_basic_valuations():

@@ -1,10 +1,11 @@
 """Truncated power series over F_p: precision tracking, units, Frobenius."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bmlocal.errors import PrecisionExhausted
+from bmlocal.errors import BoundViolated, NotPrime, PrecisionExhausted
 from bmlocal.series import LaurentSeriesMatrix, TruncSeries, series_phi
 
 P = 5
@@ -54,6 +55,90 @@ def test_valuation_and_unit():
 def test_inverse_of_unit():
     s = TruncSeries([1, 3, 0, 2], PREC, P)
     assert s * s.inverse() == TruncSeries.one(PREC, P)
+
+
+def _recurrence_inverse(s):
+    """Reference inverse: the O(M^2) term-by-term recurrence, in Python ints."""
+    p, m = s.p, s.prec
+    c = [int(x) for x in s.coeffs]
+    inv0 = pow(c[0], p - 2, p)
+    out = [inv0] + [0] * (m - 1)
+    for k in range(1, m):
+        acc = sum(c[i] * out[k - i] for i in range(1, k + 1))
+        out[k] = (-inv0 * acc) % p
+    return out
+
+
+INVERSE_PRIMES = (2, 3, 5, 7, 2**31 - 1)
+
+
+@st.composite
+def unit_series(draw):
+    p = draw(st.sampled_from(INVERSE_PRIMES))
+    prec = draw(st.integers(1, 300))
+    head = draw(st.integers(1, p - 1))
+    tail = draw(st.lists(st.integers(0, p - 1), max_size=prec - 1))
+    return TruncSeries([head] + tail, prec, p)
+
+
+@given(unit_series())
+@settings(max_examples=80, deadline=None)
+def test_newton_inverse_is_an_inverse(s):
+    assert s * s.inverse() == TruncSeries.one(s.prec, s.p)
+
+
+@given(unit_series())
+@settings(max_examples=40, deadline=None)
+def test_newton_inverse_matches_recurrence(s):
+    inv = s.inverse()
+    assert inv.prec == s.prec
+    assert inv.coeffs.tolist() == _recurrence_inverse(s)
+
+
+def test_inverse_at_precisions_near_powers_of_two():
+    rng = np.random.default_rng(5)
+    for p in (2, 3, 2**31 - 1):
+        for prec in (1, 2, 3, 63, 64, 65, 127, 129, 257):
+            cs = rng.integers(0, min(p, 2**31), size=prec)
+            cs[0] = 1
+            s = TruncSeries(cs, prec, p)
+            assert s.inverse().coeffs.tolist() == _recurrence_inverse(s)
+
+
+def test_inverse_requires_prime_characteristic():
+    with pytest.raises(NotPrime):
+        TruncSeries([2, 1], PREC, 6).inverse()
+
+
+def test_characteristic_bound():
+    with pytest.raises(BoundViolated):
+        TruncSeries([1], PREC, 2**62)
+    q = 2**61 - 1  # prime, below the bound
+    s = TruncSeries([q - 1, q - 2, 1], PREC, q)
+    assert (s * (q - 1)).coeffs.tolist()[:3] == [1, 2, q - 1]
+    assert (-s + s).is_zero()
+
+
+def _phi_reference(s, working_modulus):
+    p = s.p
+    new_prec = min(p * s.prec, working_modulus)
+    out = [0] * new_prec
+    for i, c in enumerate(s.coeffs.tolist()):
+        if i * p < new_prec:
+            out[i * p] = c
+    return out
+
+
+def test_phi_at_ragged_precisions():
+    rng = np.random.default_rng(9)
+    for p in (2, 3, 5, 7):
+        for prec in (1, 4, 7, 11):
+            s = TruncSeries(rng.integers(0, p, size=prec), prec, p)
+            # moduli below, at and above p*prec, divisible by p or not
+            for wm in (1, 2, p * prec - 1, p * prec, p * prec + 3):
+                got = series_phi(s, wm)
+                assert got.prec == min(p * prec, wm)
+                assert got.coeffs.tolist() == _phi_reference(s, wm)
 
 
 def test_precision_floor():
