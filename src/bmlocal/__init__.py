@@ -26,11 +26,10 @@ from .breuil_kisin import (  # noqa: F401
     torsor_solve,
 )
 from .characters import (  # noqa: F401
-    AlternatingSum,
     Character,
-    alternating_sum,
     decompose,
     scale_exponents,
+    tensor_multiplicities,
     weyl_character,
     weyl_dim,
 )
@@ -59,7 +58,7 @@ from .interpolation import (  # noqa: F401
     interpolate_claim,
     nu_invariant,
 )
-from .laurent import LaurentPoly, laurent_mul  # noqa: F401
+from .laurent import LaurentPoly  # noqa: F401
 from .localfield import (  # noqa: F401
     LocalFieldElement,
     TameFieldContext,

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product as iproduct
 
-from .characters import decompose, weyl_character
+from .characters import tensor_multiplicities
 from .errors import BoundViolated, IrregularHodgeType
 from .weights import (
     EmbeddingData,
@@ -152,14 +152,10 @@ def bm_multiplicities(mu: HodgeType) -> dict:
     r = rho(mu.d)
     per_residue = []
     for k0 in emb.residue_embeddings:
-        ch = None
-        for w in mu.weights_above(k0):
-            shifted = tuple(a - b for a, b in zip(w, r))
-            if not is_dominant(shifted):
-                raise ValueError(f"mu - rho not dominant above {k0}")
-            factor = weyl_character(shifted)
-            ch = factor if ch is None else ch * factor
-        per_residue.append((k0, decompose(ch)))
+        shifted = [
+            tuple(a - b for a, b in zip(w, r)) for w in mu.weights_above(k0)
+        ]
+        per_residue.append((k0, tensor_multiplicities(shifted)))
     result = {}
     labels = [k0 for k0, _ in per_residue]
     mults = [m for _, m in per_residue]

@@ -1,5 +1,5 @@
-"""The character ring Z[X(T)]^W: alternating sums, Weyl characters,
-decomposition into Weyl characters, and dimension evaluation.
+"""The character ring Z[X(T)]^W: Weyl characters, decomposition into
+Weyl characters, and dimension evaluation.
 
 The central identities are
 
@@ -8,8 +8,12 @@ The central identities are
     dim H0(w) = prod over i < j of (w_i - w_j + j - i) / (j - i).
 
 ``decompose`` inverts the map w -> ch H0(w) on symmetric polynomials by
-highest-weight peeling and works for virtual characters as well
-(negative multiplicities permitted).
+one product: ch * A(rho) = sum m(w) A(w + rho) is antisymmetric, and its
+coefficient at each strictly dominant exponent v is the multiplicity of
+v - rho.  This works for virtual characters as well (negative
+multiplicities permitted).  ``tensor_multiplicities`` reads a tensor
+product of Weyl characters the same way, starting from one A(w + rho)
+in place of A(rho) times ch H0(w).
 """
 
 from __future__ import annotations
@@ -17,37 +21,19 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import NonTerminating
+from .errors import NonTerminating, RankMismatch
 from .laurent import LaurentPoly, signed_orbit_sum
 from .weights import is_dominant, rho
 
 __all__ = [
     "Character",
-    "AlternatingSum",
-    "alternating_sum",
     "weyl_character",
     "weyl_dim",
     "generalized_weyl_dim",
     "decompose",
+    "tensor_multiplicities",
     "scale_exponents",
 ]
-
-_PEEL_BUDGET = 100_000
-
-
-class AlternatingSum:
-    """A signed orbit sum A(v); antisymmetric under coordinate swaps."""
-
-    __slots__ = ("poly",)
-
-    def __init__(self, poly: LaurentPoly):
-        self.poly = poly
-
-    def __eq__(self, other):
-        return isinstance(other, AlternatingSum) and self.poly == other.poly
-
-    def __repr__(self):
-        return f"AlternatingSum({self.poly!r})"
 
 
 class Character:
@@ -78,11 +64,6 @@ class Character:
 
     def __repr__(self):
         return f"Character({self.poly!r})"
-
-
-def alternating_sum(v) -> AlternatingSum:
-    """A(v) = sum of det(w) e(w v); zero when v has a repeated entry."""
-    return AlternatingSum(signed_orbit_sum(v))
 
 
 @lru_cache(maxsize=None)
@@ -137,27 +118,52 @@ def scale_exponents(ch: Character, n: int) -> Character:
     return Character(ch.poly.scale_exponents(n), check=False)
 
 
+def _read_off(alternating: LaurentPoly) -> dict:
+    """Multiplicities m with alternating = sum m(w) A(w + rho), exactly.
+
+    Refuses (NonTerminating) a polynomial that is not antisymmetric.
+    Antisymmetry leaves no term on a wall, so its dominant exponents are
+    the strictly dominant ones.
+    """
+    if not alternating.is_antisymmetric():
+        raise NonTerminating("character times A(rho) not antisymmetric: "
+                             "input not symmetric")
+    r = rho(alternating.rank)
+    return {
+        tuple(a - b for a, b in zip(v, r)): m
+        for v, m in alternating.terms.items()
+        if is_dominant(v)
+    }
+
+
 def decompose(ch: Character) -> dict:
     """Multiplicities m with ch = sum m(w) * weyl_character(w), exactly.
 
-    Peels the lexicographically largest exponent (necessarily dominant
-    for symmetric input) until nothing remains.  Multiplicities may be
-    negative for virtual characters.
+    Read off ch * A(rho); multiplicities may be negative for virtual
+    characters.  A non-symmetric input raises NonTerminating.
     """
-    remainder = ch.poly
-    rank = remainder.rank
-    result = {}
-    steps = 0
-    while not remainder.is_zero():
-        steps += 1
-        if steps > _PEEL_BUDGET:
-            raise NonTerminating("peeling budget exceeded (non-symmetric input?)")
-        lead = max(remainder.terms)
-        if not is_dominant(lead):
-            raise NonTerminating(
-                f"leading exponent {lead} not dominant: input not symmetric"
-            )
-        m = remainder.terms[lead]
-        result[lead] = result.get(lead, 0) + m
-        remainder = remainder - m * _weyl_character_poly(lead)
-    return {w: m for w, m in result.items() if m != 0}
+    return _read_off(ch.poly * signed_orbit_sum(rho(ch.rank)))
+
+
+def tensor_multiplicities(weights) -> dict:
+    """Multiplicities of the Weyl characters in prod_i ch H0(w_i).
+
+    The weights must be dominant and of one length (RankMismatch
+    otherwise).  The weight with the widest spread enters as
+    A(w + rho), so its character is never divided out.
+    """
+    ws = [tuple(int(x) for x in w) for w in weights]
+    if not ws:
+        raise ValueError("need at least one weight")
+    if len({len(w) for w in ws}) > 1:
+        raise RankMismatch(f"weights of lengths {sorted({len(w) for w in ws})}")
+    r = rho(len(ws[0]))
+    for w in ws:
+        if not is_dominant(w):
+            raise ValueError(f"{w} is not dominant")
+    top = max(ws, key=lambda w: w[0] - w[-1])
+    ws.remove(top)
+    product = signed_orbit_sum(tuple(a + b for a, b in zip(top, r)))
+    for w in ws:
+        product = product * _weyl_character_poly(w)
+    return _read_off(product)

@@ -27,7 +27,7 @@ import sys
 from . import __version__
 from .bm_mult import bm_identity
 from .breuil_kisin import BKMatrix, inverse_direction_check, torsor_solve
-from .characters import decompose, weyl_character
+from .characters import decompose, tensor_multiplicities, weyl_character
 from .errors import BMLocalError
 from .grassmannian import (
     Lattice,
@@ -45,7 +45,13 @@ from .interpolation import interpolate_claim, nu_invariant
 from .localfield import TameFieldContext
 from .primes import require_prime
 from .series import LaurentSeriesMatrix, TruncSeries
-from .weights import EmbeddingData, HodgeType, dual_weight, validate_hodge_bound
+from .weights import (
+    EmbeddingData,
+    HodgeType,
+    dual_weight,
+    rho,
+    validate_hodge_bound,
+)
 
 ANCHORS = {
     "bm-identity": "multiplicity-identity",
@@ -116,12 +122,7 @@ def cmd_bm_identity(config: dict) -> dict:
 
 def cmd_decompose(config: dict) -> dict:
     _known_keys(config, {"weights", "task", "seed"})
-    ws = [tuple(int(x) for x in w) for w in config["weights"]]
-    ch = None
-    for w in ws:
-        factor = weyl_character(w)
-        ch = factor if ch is None else ch * factor
-    mult = decompose(ch)
+    mult = tensor_multiplicities(config["weights"])
     return {
         "task": "decompose",
         "anchor": ANCHORS["decompose"],
@@ -132,19 +133,16 @@ def cmd_decompose(config: dict) -> dict:
     }
 
 
+def _minus_rho(mu_list) -> list:
+    """Each weight shifted by rho of its own length."""
+    return [tuple(a - b for a, b in zip(w, rho(len(w)))) for w in mu_list]
+
+
 def cmd_hilbert_defect(config: dict) -> dict:
     _known_keys(config, {"mu_list", "n_max", "task", "seed"})
     mu_list = [tuple(int(x) for x in w) for w in config["mu_list"]]
     n_max = int(config.get("n_max", 8))
-    from .weights import rho
-
-    r = rho(len(mu_list[0]))
-    ch = None
-    for w in mu_list:
-        shifted = tuple(a - b for a, b in zip(w, r))
-        factor = weyl_character(shifted)
-        ch = factor if ch is None else ch * factor
-    mult = decompose(ch)
+    mult = tensor_multiplicities(_minus_rho(mu_list))
     shifted_ok, first_fail = shifted_identity_check(mu_list, mult, n_max)
     series, degree, degree_ok = defect_degree(mu_list, mult)
     forcing_ok = all(
@@ -286,18 +284,10 @@ def _random_mu_list(rng):
 
 
 def _suite_hilbert(rng) -> dict:
-    from .weights import rho
-
     ok = True
     for _ in range(20):
         mu_list = _random_mu_list(rng)
-        r = rho(2)
-        ch = None
-        for w in mu_list:
-            shifted = tuple(a - b for a, b in zip(w, r))
-            factor = weyl_character(shifted)
-            ch = factor if ch is None else ch * factor
-        mult = decompose(ch)
+        mult = tensor_multiplicities(_minus_rho(mu_list))
         shifted_ok, _ = shifted_identity_check(mu_list, mult, 8)
         _, _, degree_ok = defect_degree(mu_list, mult)
         forcing_ok = all(
@@ -360,6 +350,23 @@ def _random_height_one(rng, d, e, prec, p) -> BKMatrix:
     return BKMatrix(C=C, e=e, h=1)
 
 
+def _random_g(rng, d, N, prec, p) -> LaurentSeriesMatrix:
+    """A random integral matrix g = 1 mod u^N."""
+    num = [
+        [
+            TruncSeries(
+                ([1] if i == j else [0]) + [0] * (N - 1)
+                + [rng.randrange(p) for _ in range(4)],
+                prec,
+                p,
+            )
+            for j in range(d)
+        ]
+        for i in range(d)
+    ]
+    return LaurentSeriesMatrix(num, 0)
+
+
 def _suite_torsor(rng) -> dict:
     ok = True
     M = 64
@@ -371,20 +378,7 @@ def _suite_torsor(rng) -> dict:
         while e > (p - 1) * N - 1:
             N += 1
         bk = _random_height_one(rng, d, e, M, p)
-        # random g = 1 mod u^N
-        g_num = [
-            [
-                TruncSeries(
-                    ([1] if i == j else [0]) + [0] * (N - 1)
-                    + [rng.randrange(p) for _ in range(4)],
-                    M,
-                    p,
-                )
-                for j in range(d)
-            ]
-            for i in range(d)
-        ]
-        g = LaurentSeriesMatrix(g_num, 0)
+        g = _random_g(rng, d, N, M, p)
         g0 = torsor_solve(bk, g, N)
         recovered = inverse_direction_check(bk, g0)
         m = min(g.prec, recovered.prec)
@@ -488,6 +482,8 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--version", action="version", version=__version__)
     args = parser.parse_args(argv)
+    if args.override_bounds and args.command != "interpolate":
+        parser.error("--override-bounds applies only to interpolate")
 
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:

@@ -42,7 +42,8 @@ class InexactDivision(BMLocalError):
 
 
 class NonTerminating(BMLocalError):
-    """An iteration budget was exceeded (usually: non-symmetric input)."""
+    """An iteration budget was exceeded, or ``decompose`` was given a
+    non-symmetric polynomial (its product with A(rho) is not antisymmetric)."""
 
 
 class IndeterminateValuation(BMLocalError):

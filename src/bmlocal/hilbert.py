@@ -109,11 +109,9 @@ def defect_values(mu_list, mult: dict, n_range) -> list:
     ]
 
 
-def defect_degree(mu_list, mult: dict, n_range=None):
-    """DefectSeries plus the fitted degree; pass iff degree < sum flag_dim.
-
-    Returns (series, degree, passed).
-    """
+def _defect_series(mu_list, mult: dict, n_range) -> DefectSeries:
+    """Defect samples over n_range (default 1..bound+4) with the claimed
+    bound sum flag_dim; refuses a window too short to certify it."""
     bound = sum(flag_dim(tuple(mu)) for mu in mu_list)
     if n_range is None:
         n_range = range(1, bound + 5)
@@ -122,12 +120,20 @@ def defect_degree(mu_list, mult: dict, n_range=None):
         raise WindowTooShort(
             f"need at least {bound + 3} samples for claimed bound {bound}"
         )
-    series = DefectSeries(
+    return DefectSeries(
         values=tuple(defect_values(mu_list, mult, n_range)),
         claimed_degree_bound=bound,
     )
+
+
+def defect_degree(mu_list, mult: dict, n_range=None):
+    """DefectSeries plus the fitted degree; pass iff degree < sum flag_dim.
+
+    Returns (series, degree, passed).
+    """
+    series = _defect_series(mu_list, mult, n_range)
     degree = series.finite_difference_degree()
-    return series, degree, degree < bound
+    return series, degree, degree < series.claimed_degree_bound
 
 
 def equality_forcing_check(mu_list, mult: dict, overcount: dict, n_range=None) -> bool:
@@ -142,16 +148,5 @@ def equality_forcing_check(mu_list, mult: dict, overcount: dict, n_range=None) -
     for lam, extra in overcount.items():
         lam = tuple(int(x) for x in lam)
         inflated[lam] = inflated.get(lam, 0) + extra
-    bound = sum(flag_dim(tuple(mu)) for mu in mu_list)
-    if n_range is None:
-        n_range = range(1, bound + 5)
-    n_range = list(n_range)
-    if len(n_range) < bound + 3:
-        raise WindowTooShort(
-            f"need at least {bound + 3} samples for claimed bound {bound}"
-        )
-    series = DefectSeries(
-        values=tuple(defect_values(mu_list, inflated, n_range)),
-        claimed_degree_bound=bound,
-    )
-    return series.finite_difference_degree() >= bound
+    series = _defect_series(mu_list, inflated, n_range)
+    return series.finite_difference_degree() >= series.claimed_degree_bound

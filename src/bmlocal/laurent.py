@@ -12,7 +12,7 @@ from itertools import permutations
 
 from .errors import InexactDivision, RankMismatch
 
-__all__ = ["LaurentPoly", "laurent_mul"]
+__all__ = ["LaurentPoly"]
 
 _DIVISION_STEP_BUDGET = 200_000
 
@@ -202,11 +202,6 @@ class LaurentPoly:
                 else:
                     remainder.pop(target, None)
         return LaurentPoly(self.rank, quotient)
-
-
-def laurent_mul(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    """Exact product of two Laurent polynomials of equal rank."""
-    return a * b
 
 
 def signed_orbit_sum(v) -> LaurentPoly:

@@ -10,10 +10,16 @@ import time
 from fractions import Fraction
 
 from bmlocal.bm_mult import bm_identity
-from bmlocal.breuil_kisin import BKMatrix, inverse_direction_check, torsor_solve
-from bmlocal.characters import decompose, weyl_character
+from bmlocal.breuil_kisin import inverse_direction_check, torsor_solve
+from bmlocal.characters import decompose, tensor_multiplicities, weyl_character
+from bmlocal.cli import (
+    _random_g,
+    _random_height_one,
+    _random_lattice,
+    _random_mu_list,
+    _random_unit_matrix,
+)
 from bmlocal.grassmannian import (
-    Lattice,
     filtration_to_lattice,
     generic_base,
     lattice_dual,
@@ -53,26 +59,14 @@ def report(num, name, ok):
 
 def _true_multiplicities(mu_list):
     r = rho(2)
-    ch = None
-    for w in mu_list:
-        shifted = tuple(a - b for a, b in zip(w, r))
-        factor = weyl_character(shifted)
-        ch = factor if ch is None else ch * factor
-    return decompose(ch)
+    return tensor_multiplicities(
+        [tuple(a - b for a, b in zip(w, r)) for w in mu_list]
+    )
 
 
 def _corpus(seed, size=20):
     rng = random.Random(seed)
-    out = []
-    for _ in range(size):
-        e = rng.randint(1, 3)
-        mu_list = []
-        for _ in range(e):
-            top = rng.randint(1, 4)
-            bot = rng.randint(0, top - 1)
-            mu_list.append((top, bot))
-        out.append(mu_list)
-    return out
+    return [_random_mu_list(rng) for _ in range(size)]
 
 
 CORPUS = _corpus(2024)
@@ -168,46 +162,6 @@ def test_criterion_6_nabla_cells():
               f"({elapsed:.2f}s < 5s)", ok and elapsed < 5.0)
 
 
-def _random_unit(rng, d, prec, p):
-    num = [
-        [TruncSeries([rng.randrange(p) for _ in range(6)], prec, p)
-         for _ in range(d)]
-        for _ in range(d)
-    ]
-    for i in range(d):
-        cs = list(num[i][i].coeffs)
-        cs[0] = 1
-        num[i][i] = TruncSeries(cs, prec, p)
-        for j in range(d):
-            if j != i:
-                cs = list(num[i][j].coeffs)
-                cs[0] = 0
-                num[i][j] = TruncSeries(cs, prec, p)
-    return LaurentSeriesMatrix(num, 0)
-
-
-def _random_height_one(rng, d, e, prec, p):
-    diag = [
-        [TruncSeries.monomial(rng.randint(0, e), prec, p)
-         if i == j else TruncSeries.zero(prec, p) for j in range(d)]
-        for i in range(d)
-    ]
-    C = (_random_unit(rng, d, prec, p)
-         * LaurentSeriesMatrix(diag, 0)
-         * _random_unit(rng, d, prec, p))
-    return BKMatrix(C=C, e=e, h=1)
-
-
-def _random_g(rng, d, N, prec, p):
-    num = [
-        [TruncSeries(([1] if i == j else [0]) + [0] * (N - 1)
-                     + [rng.randrange(p) for _ in range(4)], prec, p)
-         for j in range(d)]
-        for i in range(d)
-    ]
-    return LaurentSeriesMatrix(num, 0)
-
-
 def test_criterion_7_torsor_solver():
     rng = random.Random(707)
     prec = 64  # working modulus u^64
@@ -256,19 +210,6 @@ def test_criterion_8_interpolation():
               "matches p-(sum r'+n)nu at precision >= pi^10", ok)
 
 
-def _random_lattice(rng, base, d=2):
-    lam = sorted((rng.randint(-2, 3) for _ in range(d)), reverse=True)
-    L = Lattice.from_cocharacter(base, lam, place=0)
-    F = base.field
-    g = [[Poly.one(F) if i == j else Poly.zero(F) for j in range(d)]
-         for i in range(d)]
-    for _ in range(3):
-        i, j = rng.sample(range(d), 2)
-        factor = Poly.of(F, [rng.randint(0, 2) for _ in range(3)])
-        g[i] = [a + factor * b for a, b in zip(g[i], g[j])]
-    return L.right_multiply(g).left_multiply(g)
-
-
 def test_criterion_9_duality():
     rng = random.Random(909)
     ok = True
@@ -307,9 +248,9 @@ def test_criterion_10_psi_properties():
              if i == j else TruncSeries.zero(prec, p) for j in range(2)]
             for i in range(2)
         ]
-        C = _random_unit(rng, 2, prec, p) * LaurentSeriesMatrix(diag, 0)
+        C = _random_unit_matrix(rng, 2, prec, p) * LaurentSeriesMatrix(diag, 0)
         # left unit multiplication leaves psi unchanged
-        g_unit = _random_unit(rng, 2, prec, p)
+        g_unit = _random_unit_matrix(rng, 2, prec, p)
         ok = ok and psi_lattice(g_unit * C, base) == psi_lattice(C, base)
         # conjugation twists psi by phi(g)^{-1}
         g = _random_unipotent(rng, prec, p)

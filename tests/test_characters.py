@@ -4,14 +4,57 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bmlocal.characters import (
+    Character,
     decompose,
     generalized_weyl_dim,
+    tensor_multiplicities,
     weyl_character,
     weyl_dim,
 )
-from bmlocal.errors import NonTerminating
+from bmlocal.errors import NonTerminating, RankMismatch
+from bmlocal.weights import is_dominant
+
+
+def peel(ch):
+    """Reference decomposition by highest-weight peeling: subtract the
+    Weyl character of the lexicographically largest exponent until
+    nothing remains."""
+    remainder = ch.poly
+    result = {}
+    for _ in range(100_000):
+        if remainder.is_zero():
+            return {w: m for w, m in result.items() if m != 0}
+        lead = max(remainder.terms)
+        if not is_dominant(lead):
+            raise NonTerminating(f"leading exponent {lead} not dominant")
+        m = remainder.terms[lead]
+        result[lead] = result.get(lead, 0) + m
+        remainder = remainder - m * weyl_character(lead).poly
+    raise NonTerminating("peeling budget exceeded")
+
+
+@st.composite
+def dominant_weights(draw, d):
+    """A dominant weight of length d with spread <= 3 (<= 2 for d = 4),
+    translated by a scalar that may be large and of either sign."""
+    top = 3 if d < 4 else 2
+    entries = sorted(
+        draw(st.lists(st.integers(0, top), min_size=d, max_size=d)),
+        reverse=True,
+    )
+    shift = draw(st.one_of(st.integers(-5, 5),
+                           st.sampled_from([-10**12, -10**6, 10**6, 10**15])))
+    return tuple(x + shift for x in entries)
+
+
+@st.composite
+def weight_lists(draw):
+    d = draw(st.integers(2, 4))
+    return draw(st.lists(dominant_weights(d), min_size=1, max_size=3))
 
 
 def sl2_dim(a, b):
@@ -85,3 +128,41 @@ def test_decompose_rejects_non_symmetric():
         Character(bad)
     with pytest.raises(NonTerminating):
         decompose(Character(bad, check=False))
+
+
+@given(weight_lists())
+@settings(max_examples=40, deadline=None)
+def test_tensor_multiplicities_matches_peeling(ws):
+    product = weyl_character(ws[0])
+    for w in ws[1:]:
+        product = product * weyl_character(w)
+    assert tensor_multiplicities(ws) == peel(product)
+
+
+@given(st.integers(2, 3).flatmap(
+    lambda d: st.lists(
+        st.tuples(dominant_weights(d), st.integers(-3, 3)),
+        min_size=1, max_size=4,
+    )
+))
+@settings(max_examples=40, deadline=None)
+def test_decompose_virtual_matches_peeling(terms):
+    want = {}
+    poly = None
+    for w, m in terms:
+        want[w] = want.get(w, 0) + m
+        term = weyl_character(w).poly * m
+        poly = term if poly is None else poly + term
+    ch = Character(poly)
+    got = decompose(ch)
+    assert got == peel(ch)
+    assert got == {w: m for w, m in want.items() if m != 0}
+
+
+def test_tensor_multiplicities_refusals():
+    with pytest.raises(ValueError, match="at least one weight"):
+        tensor_multiplicities([])
+    with pytest.raises(RankMismatch):
+        tensor_multiplicities([(2, 0), (1, 0, 0)])
+    with pytest.raises(ValueError, match="not dominant"):
+        tensor_multiplicities([(2, 0), (0, 1)])

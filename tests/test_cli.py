@@ -123,3 +123,27 @@ def test_console_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["pass"]
+
+
+def test_hilbert_defect_mixed_ranks_refused(tmp_path):
+    cfg = {"mu_list": [[3, 1], [2, 0, 0]]}
+    code, text = run_cli(tmp_path, "hilbert-defect", cfg)
+    assert code == 1
+    report = json.loads(text)
+    assert report["error"] == "RankMismatch" and not report["pass"]
+
+
+@pytest.mark.parametrize(
+    "command, config",
+    [("decompose", {"weights": []}), ("hilbert-defect", {"mu_list": []})],
+)
+def test_empty_weight_list_rejected(tmp_path, command, config):
+    with pytest.raises(ValueError, match="at least one weight"):
+        run_cli(tmp_path, command, config)
+
+
+def test_override_bounds_only_for_interpolate(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(tmp_path, "bm-identity", BM_CONFIG, ["--override-bounds"])
+    assert exc.value.code == 2
+    assert "--override-bounds" in capsys.readouterr().err
