@@ -1,4 +1,4 @@
-"""Hot numeric kernels: mod-p series products and mod-p elimination.
+"""The hot numeric kernel: truncated products of series mod p.
 
 ``poly_mul_mod`` is exact for every p below 2^62, at every length.  It
 multiplies by Kronecker substitution (Harvey, "Faster polynomial
@@ -21,7 +21,7 @@ mod p, and p < 2^62.
 
 import numpy as np
 
-__all__ = ["poly_mul_mod", "gf_rank"]
+__all__ = ["poly_mul_mod"]
 
 
 def _pack(a, width: int) -> int:
@@ -53,30 +53,3 @@ def poly_mul_mod(a, b, p, n):
                      for i in range(top)]
     return out
 
-
-def gf_rank(mat, p):
-    """Rank over F_p of an integer matrix, by vectorized row elimination."""
-    m = np.ascontiguousarray(mat, dtype=np.int64) % p
-    if m.size == 0:
-        return 0
-    rows, cols = m.shape
-    rank = 0
-    for j in range(cols):
-        piv = -1
-        for i in range(rank, rows):
-            if m[i, j] % p != 0:
-                piv = i
-                break
-        if piv < 0:
-            continue
-        m[[rank, piv]] = m[[piv, rank]]
-        inv = pow(int(m[rank, j]), p - 2, p)
-        m[rank] = (m[rank] * inv) % p
-        mask = np.arange(rows) != rank
-        factors = m[:, j].copy()
-        factors[~mask] = 0
-        m = (m - np.outer(factors, m[rank])) % p
-        rank += 1
-        if rank == rows:
-            break
-    return rank

@@ -41,7 +41,7 @@ from .grassmannian import (
     special_base,
 )
 from .hilbert import defect_degree, equality_forcing_check, shifted_identity_check
-from .interpolation import interpolate_claim, nu_invariant
+from .interpolation import interpolate_claim
 from .localfield import TameFieldContext
 from .primes import require_prime
 from .series import LaurentSeriesMatrix, TruncSeries

@@ -27,9 +27,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-import numpy as np
-
-from ._kernels import gf_rank
 from .errors import (
     BoundViolated,
     CollidingPiValues,
@@ -38,7 +35,17 @@ from .errors import (
     SingularMatrix,
     UnsupportedRank,
 )
-from .polyfield import GFp, Poly, QQ, adjugate, column_hermite, det, mat_mul
+from .polyfield import (
+    GFp,
+    Poly,
+    QQ,
+    adjugate,
+    column_hermite,
+    det,
+    mat_mul,
+    row_reduce,
+)
+from .primes import require_prime
 from .weights import dual_weight
 
 __all__ = [
@@ -69,9 +76,7 @@ class BaseRing:
     def E_poly(self) -> Poly:
         out = Poly.one(self.field)
         for c, m in zip(self.places, self.multiplicities):
-            lin = Poly.x_minus(self.field, c)
-            for _ in range(m):
-                out = out * lin
+            out = out * Poly.x_minus(self.field, c) ** m
         return out
 
     def place_poly(self, j: int) -> Poly:
@@ -100,7 +105,7 @@ class Lattice:
 
     __slots__ = ("base", "num", "den", "d")
 
-    def __init__(self, base: BaseRing, num, den=None, normalize: bool = True):
+    def __init__(self, base: BaseRing, num, den=None):
         self.base = base
         self.num = [list(row) for row in num]
         self.d = len(self.num)
@@ -110,8 +115,7 @@ class Lattice:
         self.den = list(den) if den is not None else [0] * len(base.places)
         if len(self.den) != len(base.places):
             raise ValueError("one denominator exponent per place required")
-        if normalize:
-            self._normalize()
+        self._normalize()
         if det(self.num).is_zero():
             raise SingularMatrix("generator matrix is singular")
 
@@ -119,10 +123,7 @@ class Lattice:
         # negative denominator exponents fold into the numerator
         for j, k in enumerate(self.den):
             if k < 0:
-                lin = self.base.place_poly(j)
-                factor = Poly.one(self.base.field)
-                for _ in range(-k):
-                    factor = factor * lin
+                factor = self.base.place_poly(j) ** -k
                 self.num = [[e * factor for e in row] for row in self.num]
                 self.den[j] = 0
         # cancel common place factors of the numerator against the denominator
@@ -137,10 +138,7 @@ class Lattice:
             )
             common = min(common, k)
             if common > 0:
-                lin = self.base.place_poly(j)
-                divisor = Poly.one(self.base.field)
-                for _ in range(common):
-                    divisor = divisor * lin
+                divisor = self.base.place_poly(j) ** common
                 self.num = [
                     [e.divide_exact(divisor) if not e.is_zero() else e for e in row]
                     for row in self.num
@@ -167,10 +165,7 @@ class Lattice:
         num = [[Poly.zero(F) for _ in range(d)] for _ in range(d)]
         shift = -min(min(lam), 0)
         for i, k in enumerate(lam):
-            entry = Poly.one(F)
-            for _ in range(k + shift):
-                entry = entry * lin
-            num[i][i] = entry
+            num[i][i] = lin ** (k + shift)
         den = [0] * len(base.places)
         den[place] = shift
         return cls(base, num, den)
@@ -202,7 +197,7 @@ class Lattice:
     # -- membership and equality -----------------------------------------
 
     def _det_and_adj(self):
-        return det(self.num), adjugate(self.num)
+        return det(self.num), adjugate(self.num, Poly.one(self.base.field))
 
     def contains(self, vec, vec_den=None) -> bool:
         """Membership of a rational vector: polynomials ``vec`` divided by
@@ -210,10 +205,7 @@ class Lattice:
         if vec_den is None:
             vec_den = [0] * len(self.base.places)
         D, adj = self._det_and_adj()
-        coords = [
-            sum_polys([adj[i][l] * vec[l] for l in range(self.d)])
-            for i in range(self.d)
-        ]
+        coords = [row[0] for row in mat_mul(adj, [[x] for x in vec])]
         for j, c in enumerate(self.base.places):
             vD = D.root_multiplicity(c)
             for x in coords:
@@ -241,13 +233,6 @@ class Lattice:
             f"Lattice({self.base.kind}, d={self.d}, den={self.den}, "
             f"num={self.num!r})"
         )
-
-
-def sum_polys(polys):
-    acc = polys[0]
-    for q in polys[1:]:
-        acc = acc + q
-    return acc
 
 
 @dataclass(frozen=True)
@@ -324,7 +309,7 @@ def psi_lattice(C, base: BaseRing, h: int | None = None) -> Lattice:
     if D.is_zero():
         raise SingularMatrix("C is singular within precision")
     m = D.root_multiplicity(F.zero)
-    adj = adjugate(num)
+    adj = adjugate(num, Poly.one(F))
     # C = num * u^{-k};  span(C^{-1}) = span(adj(num)) * u^{k - m}
     # (the unit-series factor det/u^m is dropped over the localized base)
     k = C.denom_exponent
@@ -386,8 +371,10 @@ def nabla_cell_dimension(lam, e: int, p: int) -> NablaCell:
 
     The cell coordinate is the single below-diagonal entry a(u) of degree
     < lam_1 - lam_2; the condition forces k * a_k = 0 over F_p for
-    1 <= k <= lam_1 - lam_2 - e.  Requires lam_1 - lam_2 <= e + p - 1.
+    1 <= k <= lam_1 - lam_2 - e.  Requires lam_1 - lam_2 <= e + p - 1 and
+    p prime (NotPrime otherwise).
     """
+    require_prime(p)
     lam = tuple(int(x) for x in lam)
     if len(lam) != 2:
         raise UnsupportedRank("cell dimensions are implemented for d = 2")
@@ -424,10 +411,7 @@ def nabla_cell_dimension_bruteforce(lam, e: int, p: int) -> int:
         row = [0] * gap
         row[t] = t % p
         rows.append(row)
-    if not rows:
-        return gap
-    rank = gf_rank(np.array(rows, dtype=np.int64), p)
-    return gap - rank
+    return gap - len(row_reduce(rows, GFp(p))[1])
 
 
 # -- filtration to lattice ------------------------------------------------
@@ -462,14 +446,12 @@ def filtration_to_lattice(base: BaseRing, mu_weights, fils, n=None) -> Lattice:
             raise FiltrationTypeMismatch("n must make all exponents nonnegative")
     # per-place generating columns of sum_i (u-c)^{i+n} S Fil^{-i}
     modules = []
-    tops = []
+    f = Poly.one(F)
     for j in range(e):
         mu1, mu2 = mu_weights[j]
         a, b = mu1 + n[j], mu2 + n[j]
         lin = base.place_poly(j)
-        pow_a = Poly.one(F)
-        for _ in range(a):
-            pow_a = pow_a * lin
+        pow_a = lin ** a
         cols = [
             [pow_a if i == r else Poly.zero(F) for i in range(2)]
             for r in range(2)
@@ -480,22 +462,15 @@ def filtration_to_lattice(base: BaseRing, mu_weights, fils, n=None) -> Lattice:
                 raise FiltrationTypeMismatch(
                     f"place {j}: a filtration line is required when mu1 > mu2"
                 )
-            pow_b = Poly.one(F)
-            for _ in range(b):
-                pow_b = pow_b * lin
+            pow_b = lin ** b
             cols.append([pow_b.scale(Fraction(x)) for x in v])
         elif fils[j] is not None:
             raise FiltrationTypeMismatch(
                 f"place {j}: no filtration line allowed when mu1 = mu2"
             )
         modules.append(cols)
-        tops.append(a)
-    # every module sits between f S^2 and S^2 for f = prod (u-c_j)^{a_j}
-    f = Poly.one(F)
-    for j in range(e):
-        lin = base.place_poly(j)
-        for _ in range(tops[j]):
-            f = f * lin
+        # every module sits between f S^2 and S^2 for f = prod (u-c_j)^{a_j}
+        f = f * pow_a
     degf = f.degree()
     dim_v = 2 * degf
     if degf == 0:
@@ -509,7 +484,7 @@ def filtration_to_lattice(base: BaseRing, mu_weights, fils, n=None) -> Lattice:
                     shifted = [q.shift(t) for q in c]
                     reduced = [q.divmod(f)[1] for q in shifted]
                     vectors.append(_flatten(reduced, degf))
-            basis_maps.append(_row_space(vectors, dim_v))
+            basis_maps.append(_row_space(vectors))
         W = basis_maps[0]
         for other in basis_maps[1:]:
             W = _subspace_intersection(W, other, dim_v)
@@ -540,31 +515,9 @@ def _unflatten(vec, degf, F):
     ]
 
 
-def _row_space(vectors, width):
-    """Row-reduce rational vectors; returns a reduced basis as lists."""
-    rows = [list(v) for v in vectors]
-    basis = []
-    pivots = []
-    for row in rows:
-        row = row[:]
-        for b, pc in zip(basis, pivots):
-            if row[pc] != 0:
-                factor = row[pc]
-                row = [x - factor * y for x, y in zip(row, b)]
-        pivot = next((i for i, x in enumerate(row) if x != 0), None)
-        if pivot is None:
-            continue
-        inv = Fraction(1, 1) / row[pivot]
-        row = [x * inv for x in row]
-        # back-substitute into the existing basis for a reduced form
-        basis = [
-            [x - b[pivot] * y for x, y in zip(b, row)] if b[pivot] != 0 else b
-            for b in basis
-        ]
-        basis.append(row)
-        pivots.append(pivot)
-    order = sorted(range(len(basis)), key=lambda i: pivots[i])
-    return [basis[i] for i in order]
+def _row_space(vectors):
+    """Reduced row echelon basis of the span of rational vectors."""
+    return row_reduce(vectors, QQ)[0]
 
 
 def _subspace_intersection(A, B, width):
@@ -587,36 +540,20 @@ def _subspace_intersection(A, B, width):
         ]
         if any(x != 0 for x in vec):
             out.append(vec)
-    return _row_space(out, width)
+    return _row_space(out)
 
 
 def _nullspace(M, cols):
-    """Kernel basis of a rational matrix given as a list of rows."""
-    rows = [list(r) for r in M]
-    nrows = len(rows)
-    pivots = {}
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = Fraction(1, 1) / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots[c] = r
-        r += 1
-        if r == nrows:
-            break
-    free = [c for c in range(cols) if c not in pivots]
+    """Kernel basis of a rational matrix given as a list of rows: one vector
+    per free column, read off the reduced row echelon form."""
+    rows, pivots = row_reduce(M, QQ)
     basis = []
-    for fc in free:
+    for fc in range(cols):
+        if fc in pivots:
+            continue
         vec = [Fraction(0)] * cols
         vec[fc] = Fraction(1)
-        for c, pr in pivots.items():
-            vec[c] = -rows[pr][fc]
+        for row, c in zip(rows, pivots):
+            vec[c] = -row[fc]
         basis.append(vec)
     return basis

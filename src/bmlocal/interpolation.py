@@ -139,9 +139,6 @@ class LocalPoly:
             out = out + LocalPoly(ctx, [a], new_center)
         return out
 
-    def min_coeff_valuations(self):
-        return [c.val_lower_bound() for c in self.coeffs]
-
     def __repr__(self):
         c = "u" if self.center is None else f"(u - {self.center!r})"
         return f"LocalPoly({self.coeffs!r}, basis powers of {c})"

@@ -14,8 +14,6 @@ from .errors import InexactDivision, RankMismatch
 
 __all__ = ["LaurentPoly"]
 
-_DIVISION_STEP_BUDGET = 200_000
-
 
 class LaurentPoly:
     """A Laurent polynomial in d variables with integer coefficients.
@@ -170,28 +168,37 @@ class LaurentPoly:
         """Exact quotient self / divisor; raises InexactDivision otherwise.
 
         Lex-leading-term reduction: at each step kill the lexicographically
-        largest remainder term against the divisor's lex-largest term.  A
-        step budget guards against non-exact inputs.
+        largest remainder term against the divisor's lex-largest term.  In
+        each coordinate the lowest and highest exponents of a product are
+        the sums of those of its factors, so every term of an exact
+        quotient lies in the box [min(self) - min(divisor), max(self) -
+        max(divisor)]; a quotient term outside it proves the division
+        inexact.  The remainder's lex-leading term falls at every step and
+        stays in the box shifted by the divisor's leading exponent, so the
+        loop ends.
         """
         self._check_rank(divisor)
         if divisor.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
         if self.is_zero():
             return LaurentPoly.zero(self.rank)
+        coords = list(zip(zip(*self.terms), zip(*divisor.terms)))
+        low = [min(f) - min(g) for f, g in coords]
+        high = [max(f) - max(g) for f, g in coords]
         d_lead = max(divisor.terms)
         d_coeff = divisor.terms[d_lead]
         remainder = dict(self.terms)
         quotient = {}
-        steps = 0
         while remainder:
-            steps += 1
-            if steps > _DIVISION_STEP_BUDGET:
-                raise InexactDivision("step budget exceeded")
             r_lead = max(remainder)
             r_coeff = remainder[r_lead]
             if r_coeff % d_coeff != 0:
                 raise InexactDivision(f"coefficient {r_coeff} not divisible by {d_coeff}")
             q_expo = tuple(a - b for a, b in zip(r_lead, d_lead))
+            if not all(lo <= x <= hi for lo, x, hi in zip(low, q_expo, high)):
+                raise InexactDivision(
+                    f"quotient term {q_expo} outside the exponent box {low}..{high}"
+                )
             q_coeff = r_coeff // d_coeff
             quotient[q_expo] = quotient.get(q_expo, 0) + q_coeff
             for expo, c in divisor.terms.items():

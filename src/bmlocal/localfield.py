@@ -24,6 +24,7 @@ import math
 from fractions import Fraction
 
 from .errors import IndeterminateValuation, WildRamification
+from .polyfield import QQ, Poly, row_reduce
 from .primes import require_prime
 
 __all__ = ["TameFieldContext", "LocalFieldElement", "lf_valuation"]
@@ -57,42 +58,20 @@ def _multiplicative_order(p: int, e: int) -> int:
 
 
 def _euler_phi(e: int) -> int:
-    out, n, q = e, e, 2
-    while q * q <= n:
-        if n % q == 0:
-            out -= out // q
-            while n % q == 0:
-                n //= q
-        q += 1
-    if n > 1:
-        out -= out // n
+    out = e
+    for q in _prime_factors(e):
+        out -= out // q
     return out
 
 
-def _cyclotomic(e: int) -> list:
-    """Integer coefficients (low to high) of the e-th cyclotomic polynomial."""
+def _cyclotomic(e: int) -> Poly:
+    """The e-th cyclotomic polynomial, over Q."""
     # (x^e - 1) / prod of cyclotomics of proper divisors, by exact division
-    num = [-1] + [0] * (e - 1) + [1]
+    num = Poly.of(QQ, [-1] + [0] * (e - 1) + [1])
     for d in range(1, e):
-        if e % d:
-            continue
-        div = _cyclotomic(d)
-        num = _polydiv_exact(num, div)
+        if e % d == 0:
+            num = num.divide_exact(_cyclotomic(d))
     return num
-
-
-def _polydiv_exact(num, div):
-    num = list(num)
-    out = [0] * (len(num) - len(div) + 1)
-    for k in range(len(out) - 1, -1, -1):
-        c = num[k + len(div) - 1]
-        assert c % div[-1] == 0
-        q = c // div[-1]
-        out[k] = q
-        for i, dc in enumerate(div):
-            num[k + i] -= q * dc
-    assert all(c == 0 for c in num)
-    return out
 
 
 def _hensel_root(e: int, p: int, B: int) -> int:
@@ -156,7 +135,7 @@ class TameFieldContext:
         if e == 1:
             self._zeta_min_poly = [Fraction(-1), Fraction(1)]  # x - 1
         elif self.f_prime == phi:
-            self._zeta_min_poly = [Fraction(c) for c in _cyclotomic(e)]
+            self._zeta_min_poly = list(_cyclotomic(e).coeffs)
         elif self.f_prime == 1:
             c = _hensel_root(e, p, self.pB)
             self._zeta_min_poly = [Fraction(-c), Fraction(1)]
@@ -369,22 +348,12 @@ class LocalFieldElement:
 
 
 def _solve(M, rhs):
+    """The solution x of M x = rhs over Q, or None when M is singular."""
     n = len(M)
-    A = [row[:] + [r] for row, r in zip(M, rhs)]
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, n) if A[i][c] != 0), None)
-        if piv is None:
-            return None
-        A[r], A[piv] = A[piv], A[r]
-        inv = Fraction(1) / A[r][c]
-        A[r] = [x * inv for x in A[r]]
-        for i in range(n):
-            if i != r and A[i][c] != 0:
-                fct = A[i][c]
-                A[i] = [x - fct * y for x, y in zip(A[i], A[r])]
-        r += 1
-    return [A[i][n] for i in range(n)]
+    rows, pivots = row_reduce([row + [r] for row, r in zip(M, rhs)], QQ)
+    if pivots != list(range(n)):
+        return None
+    return [row[n] for row in rows]
 
 
 def lf_valuation(x: LocalFieldElement):

@@ -1,16 +1,32 @@
-"""Exact univariate polynomials over a field (GF(p) or Q), with the
-matrix helpers the lattice module needs: determinants, adjugates, root
-multiplicities and a column-Hermite reduction over k[u].
+"""Exact univariate polynomials over a field (GF(p) or Q), and the one
+home of the package's exact matrix algorithms.
 
 The two field adapters expose the same tiny protocol so a single Poly
-implementation serves both base configurations.
+implementation serves both base configurations, and ``row_reduce`` works
+over either adapter.  ``mat_mul``, ``det`` and ``adjugate`` only use ring
+operations on the entries (+, -, *), so the same code serves matrices of
+``Poly`` (the lattice models) and of ``TruncSeries`` (the Breuil-Kisin
+matrices).  ``column_hermite`` reduces generating columns over k[u].
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
+from operator import add
 
-__all__ = ["QQ", "GFp", "Poly", "mat_mul", "det", "adjugate", "column_hermite"]
+from .primes import require_prime
+
+__all__ = [
+    "QQ",
+    "GFp",
+    "Poly",
+    "mat_mul",
+    "det",
+    "adjugate",
+    "row_reduce",
+    "column_hermite",
+]
 
 
 class QQ:
@@ -51,10 +67,11 @@ class QQ:
 
 
 class GFp:
-    """The prime field F_p; elements are ints in [0, p)."""
+    """The prime field F_p; elements are ints in [0, p).  Raises NotPrime
+    unless p is prime."""
 
     def __init__(self, p: int):
-        self.p = p
+        self.p = require_prime(p)
         self.name = f"GF({p})"
         self.zero = 0
         self.one = 1 % p
@@ -106,10 +123,6 @@ class Poly:
         return cls(field, [field.of(x) for x in ints])
 
     @classmethod
-    def const(cls, field, c) -> "Poly":
-        return cls(field, [field.of(c)])
-
-    @classmethod
     def x_minus(cls, field, c) -> "Poly":
         """The polynomial u - c."""
         return cls(field, [field.neg(field.of(c)), field.one])
@@ -127,9 +140,6 @@ class Poly:
 
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def is_constant(self) -> bool:
-        return len(self.coeffs) <= 1
 
     def __eq__(self, other):
         return (
@@ -173,6 +183,12 @@ class Poly:
             for j, b in enumerate(other.coeffs):
                 out[i + j] = F.add(out[i + j], F.mul(a, b))
         return Poly(F, out)
+
+    def __pow__(self, k: int) -> "Poly":
+        out = Poly.one(self.field)
+        for _ in range(k):
+            out = out * self
+        return out
 
     def scale(self, c) -> "Poly":
         F = self.field
@@ -249,50 +265,65 @@ def _is_elem(field, c):
 
 
 def mat_mul(a, b):
-    n, m, k = len(a), len(b[0]), len(b)
-    F = a[0][0].field
-    out = [[Poly.zero(F) for _ in range(m)] for _ in range(n)]
-    for i in range(n):
-        for j in range(m):
-            acc = Poly.zero(F)
-            for l in range(k):
-                acc = acc + a[i][l] * b[l][j]
-            out[i][j] = acc
-    return out
+    """The product of two matrices (lists of rows) over any ring."""
+    return [
+        [reduce(add, [row[l] * b[l][j] for l in range(len(b))])
+         for j in range(len(b[0]))]
+        for row in a
+    ]
 
 
-def det(m) -> Poly:
+def det(m):
+    """Determinant by cofactor expansion along the first row (small d)."""
     d = len(m)
     if d == 1:
         return m[0][0]
-    acc = Poly.zero(m[0][0].field)
+    terms = []
     for j in range(d):
-        minor = [row[:j] + row[j + 1:] for row in m[1:]]
-        term = m[0][j] * det(minor)
-        if j % 2 == 1:
-            term = -term
-        acc = acc + term
-    return acc
+        term = m[0][j] * det([row[:j] + row[j + 1:] for row in m[1:]])
+        terms.append(-term if j % 2 else term)
+    return reduce(add, terms)
 
 
-def adjugate(m):
+def adjugate(m, one):
+    """The adjugate (transposed cofactor matrix); ``one`` is the ring's 1,
+    the adjugate of every 1 x 1 matrix."""
     d = len(m)
-    F = m[0][0].field
     if d == 1:
-        return [[Poly.one(F)]]
+        return [[one]]
     adj = [[None] * d for _ in range(d)]
     for i in range(d):
         for j in range(d):
-            minor = [
-                [m[r][c] for c in range(d) if c != j]
-                for r in range(d)
-                if r != i
-            ]
-            cof = det(minor)
-            if (i + j) % 2 == 1:
-                cof = -cof
-            adj[j][i] = cof
+            cof = det([row[:j] + row[j + 1:] for r, row in enumerate(m) if r != i])
+            adj[j][i] = -cof if (i + j) % 2 else cof
     return adj
+
+
+def row_reduce(rows, F):
+    """Gauss-Jordan elimination over the field adapter F.
+
+    Returns the nonzero rows of the reduced row echelon form of ``rows``
+    (each pivot entry 1, every other entry of a pivot column 0) and their
+    pivot columns, increasing.  The form depends only on the row span.
+    """
+    rows = [list(r) for r in rows]
+    pivots = []
+    for c in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        if r == len(rows):
+            break
+        piv = next((i for i in range(r, len(rows)) if not F.is_zero(rows[i][c])), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = F.inv(rows[r][c])
+        rows[r] = [F.mul(x, inv) for x in rows[r]]
+        for i, row in enumerate(rows):
+            if i != r and not F.is_zero(row[c]):
+                f = row[c]
+                rows[i] = [F.sub(x, F.mul(f, y)) for x, y in zip(row, rows[r])]
+        pivots.append(c)
+    return rows[: len(pivots)], pivots
 
 
 def column_hermite(columns, d: int):

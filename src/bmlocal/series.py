@@ -13,6 +13,7 @@ import numpy as np
 
 from ._kernels import poly_mul_mod
 from .errors import BoundViolated, PrecisionExhausted, SingularMatrix
+from .polyfield import adjugate, det, mat_mul
 from .primes import require_prime
 
 __all__ = ["TruncSeries", "series_phi", "LaurentSeriesMatrix"]
@@ -27,9 +28,7 @@ class TruncSeries:
 
     __slots__ = ("coeffs", "prec", "p")
 
-    def __init__(self, coeffs, prec: int, p: int, q: int | None = None):
-        if q is not None and q != p:
-            raise ValueError("only prime fields are supported (q must equal p)")
+    def __init__(self, coeffs, prec: int, p: int):
         if prec < MIN_PRECISION:
             raise PrecisionExhausted(f"precision {prec} below floor {MIN_PRECISION}")
         if p >= MAX_CHARACTERISTIC:
@@ -43,10 +42,6 @@ class TruncSeries:
         self.coeffs = arr
         self.prec = prec
         self.p = p
-
-    @property
-    def q(self) -> int:
-        return self.p
 
     # -- constructors ---------------------------------------------------
 
@@ -178,11 +173,6 @@ class TruncSeries:
             k = k2
         return TruncSeries(g, m, p)
 
-    def truncate(self, prec: int) -> "TruncSeries":
-        if prec > self.prec:
-            raise PrecisionExhausted(f"cannot extend precision {self.prec} to {prec}")
-        return TruncSeries(self.coeffs[:prec], prec, self.p)
-
 
 def series_phi(s: TruncSeries, working_modulus: int | None = None) -> TruncSeries:
     """The Frobenius substitution u -> u^p on a truncated series.
@@ -209,7 +199,7 @@ class LaurentSeriesMatrix:
 
     __slots__ = ("num", "denom_exponent", "d", "p")
 
-    def __init__(self, num, denom_exponent: int = 0, normalize: bool = True):
+    def __init__(self, num, denom_exponent: int = 0):
         self.num = [list(row) for row in num]
         self.d = len(self.num)
         for row in self.num:
@@ -217,15 +207,21 @@ class LaurentSeriesMatrix:
                 raise ValueError("matrix must be square")
         self.p = self.num[0][0].p
         self.denom_exponent = int(denom_exponent)
-        if normalize:
-            self._normalize()
+        self._normalize()
 
     def _normalize(self):
-        while self.denom_exponent > 0 and all(
-            s.coeffs[0] == 0 for row in self.num for s in row
-        ):
-            self.num = [[s.divide_u(1) for s in row] for row in self.num]
-            self.denom_exponent -= 1
+        """Divide out u^k, k = min(denominator exponent, entry valuations);
+        an entry that vanishes within precision counts as its precision."""
+        if self.denom_exponent <= 0:
+            return
+        k = min(
+            self.denom_exponent,
+            *(s.prec if (v := s.valuation()) is None else v
+              for row in self.num for s in row),
+        )
+        if k:
+            self.num = [[s.divide_u(k) for s in row] for row in self.num]
+            self.denom_exponent -= k
 
     # -- constructors ---------------------------------------------------
 
@@ -256,19 +252,8 @@ class LaurentSeriesMatrix:
     def __mul__(self, other: "LaurentSeriesMatrix") -> "LaurentSeriesMatrix":
         if self.d != other.d:
             raise ValueError("size mismatch")
-        d = self.d
-        num = []
-        for i in range(d):
-            row = []
-            for j in range(d):
-                acc = None
-                for l in range(d):
-                    term = self.num[i][l] * other.num[l][j]
-                    acc = term if acc is None else acc + term
-                row.append(acc)
-            num.append(row)
         return LaurentSeriesMatrix(
-            num, self.denom_exponent + other.denom_exponent
+            mat_mul(self.num, other.num), self.denom_exponent + other.denom_exponent
         )
 
     def __sub__(self, other: "LaurentSeriesMatrix") -> "LaurentSeriesMatrix":
@@ -285,23 +270,18 @@ class LaurentSeriesMatrix:
         ]
         return LaurentSeriesMatrix(num, k)
 
-    def scalar_mul(self, s: TruncSeries) -> "LaurentSeriesMatrix":
-        num = [[e * s for e in row] for row in self.num]
-        return LaurentSeriesMatrix(num, self.denom_exponent)
-
     def det(self) -> TruncSeries:
         """Determinant of the numerator (cofactor expansion, small d)."""
-        return _det(self.num)
+        return det(self.num)
 
     def inverse(self) -> "LaurentSeriesMatrix":
         """Inverse over F_p((u)): adjugate divided by det = u^m * unit."""
-        det = _det(self.num)
-        v = det.valuation()
+        D = det(self.num)
+        v = D.valuation()
         if v is None:
             raise SingularMatrix("determinant vanishes within precision")
-        unit = det.divide_u(v)
-        unit_inv = unit.inverse()
-        adj = _adjugate(self.num)
+        unit_inv = D.divide_u(v).inverse()
+        adj = adjugate(self.num, TruncSeries.one(self.num[0][0].prec, self.p))
         # (u^{-k} N)^{-1} = u^{k} adj(N) / det(N) = adj(N) * unit_inv * u^{k - v}
         num = [[e * unit_inv for e in row] for row in adj]
         shift = self.denom_exponent - v
@@ -343,37 +323,3 @@ class LaurentSeriesMatrix:
                 if not np.array_equal(e.coeffs[:N], want):
                     return False
         return True
-
-
-def _det(m) -> TruncSeries:
-    d = len(m)
-    if d == 1:
-        return m[0][0]
-    acc = None
-    for j in range(d):
-        minor = [row[:j] + row[j + 1:] for row in m[1:]]
-        term = m[0][j] * _det(minor)
-        if j % 2 == 1:
-            term = -term
-        acc = term if acc is None else acc + term
-    return acc
-
-
-def _adjugate(m):
-    d = len(m)
-    if d == 1:
-        one = TruncSeries.one(m[0][0].prec, m[0][0].p)
-        return [[one]]
-    adj = [[None] * d for _ in range(d)]
-    for i in range(d):
-        for j in range(d):
-            minor = [
-                [m[r][c] for c in range(d) if c != j]
-                for r in range(d)
-                if r != i
-            ]
-            cof = _det(minor)
-            if (i + j) % 2 == 1:
-                cof = -cof
-            adj[j][i] = cof
-    return adj

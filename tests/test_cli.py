@@ -147,3 +147,12 @@ def test_override_bounds_only_for_interpolate(tmp_path, capsys):
         run_cli(tmp_path, "bm-identity", BM_CONFIG, ["--override-bounds"])
     assert exc.value.code == 2
     assert "--override-bounds" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("p", [4, 6])
+def test_nabla_cell_composite_p_refused(tmp_path, p):
+    cfg = {"lambda": [3, 0], "e": 1, "p": p}
+    code, text = run_cli(tmp_path, "nabla-cell", cfg)
+    assert code == 1
+    report = json.loads(text)
+    assert report["error"] == "NotPrime" and not report["pass"]

@@ -1,10 +1,12 @@
-"""The kernels agree with Python-integer reference implementations."""
+"""The series kernel and the mod-p rank agree with Python-integer
+reference implementations."""
 
 import random
 
 import numpy as np
 
 from bmlocal import _kernels
+from bmlocal.polyfield import GFp, row_reduce
 
 # Small primes, and two where an int64 convolution of length 64 overflows.
 PRIMES = (2, 3, 5, 2**31 - 1, 2**61 - 1)
@@ -69,6 +71,10 @@ def _rank_mod_p(rows, p):
     return rank
 
 
+def _rank(m, p):
+    return len(row_reduce(m.tolist(), GFp(p))[1])
+
+
 def test_gf_rank_matches_oracle():
     rng = np.random.default_rng(1)
     for p in (2, 3, 5):
@@ -76,12 +82,12 @@ def test_gf_rank_matches_oracle():
             rows = int(rng.integers(1, 8))
             cols = int(rng.integers(1, 8))
             m = rng.integers(0, p, size=(rows, cols)).astype(np.int64)
-            assert _kernels.gf_rank(m.copy(), p) == _rank_mod_p(m.tolist(), p)
+            assert _rank(m, p) == _rank_mod_p(m.tolist(), p)
     # second row is twice the first mod 3
     m = np.array([[1, 2, 0], [2, 1, 0], [0, 0, 1]], dtype=np.int64)
-    assert _kernels.gf_rank(m, 3) == 2
+    assert _rank(m, 3) == 2
 
 
 def test_singular_matrix_rank():
     m = np.array([[1, 2], [2, 4]], dtype=np.int64)
-    assert _kernels.gf_rank(m, 5) == 1
+    assert _rank(m, 5) == 1

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bmlocal.errors import InexactDivision, RankMismatch
+from bmlocal.characters import weyl_character
 from bmlocal.laurent import LaurentPoly, signed_orbit_sum
 
 RANK = 3
@@ -74,3 +75,19 @@ def test_inexact_division_raises():
     x = LaurentPoly.monomial((1, 0)) + LaurentPoly.monomial((0, 1))
     with pytest.raises(InexactDivision):
         (x + one).divide(x + x)  # coefficient 2 does not divide 1 exactly
+
+
+def test_inexact_division_outside_exponent_box_refused():
+    # x + 1 = q * (y + 1) has no solution; lex reduction alone never ends
+    x = LaurentPoly.monomial((1, 0))
+    y = LaurentPoly.monomial((0, 1))
+    one = LaurentPoly.one(2)
+    with pytest.raises(InexactDivision):
+        (x + one).divide(y + one)
+    with pytest.raises(InexactDivision):
+        (x * x + one).divide(x + one)  # remainder 2 in one variable
+
+
+def test_large_exact_quotient_accepted():
+    # 200001 quotient terms: A((200001, 0)) / A((1, 0)) is exact
+    assert weyl_character((200000, 0)).dim() == 200001

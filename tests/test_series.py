@@ -181,3 +181,48 @@ def test_is_one_mod():
     m = _mat([[[1, 0, 0, 2], [0, 0, 1]], [[0], [1, 0, 3]]])
     assert m.is_one_mod(2)
     assert not m.is_one_mod(3)
+
+
+def _peel_normalize(num, k):
+    """Reference: the former normalization, one power of u per step."""
+    while k > 0 and all(s.coeffs[0] == 0 for row in num for s in row):
+        num = [[s.divide_u(1) for s in row] for row in num]
+        k -= 1
+    return num, k
+
+
+@st.composite
+def denominated_matrices(draw):
+    p = draw(st.sampled_from((2, 3, 5)))
+    d = draw(st.integers(1, 3))
+    num = []
+    for _ in range(d):
+        row = []
+        for _ in range(d):
+            prec = draw(st.integers(1, 12))
+            val = draw(st.integers(0, prec))  # val = prec: zero within precision
+            tail = draw(st.lists(st.integers(0, p - 1), max_size=prec - val))
+            cs = [0] * val + ([1] + tail[1:] if tail else [])
+            row.append(TruncSeries(cs[:prec], prec, p))
+        num.append(row)
+    return num, draw(st.integers(0, 15))
+
+
+def _outcome(build):
+    try:
+        num, k = build()
+    except PrecisionExhausted as exc:
+        return "PrecisionExhausted", str(exc)
+    return k, [[(s.prec, s.coeffs.tolist()) for s in row] for row in num]
+
+
+@given(denominated_matrices())
+@settings(max_examples=300, deadline=None)
+def test_one_step_normalization_matches_peeling(case):
+    num, k = case
+
+    def one_step():
+        m = LaurentSeriesMatrix(num, k)
+        return m.num, m.denom_exponent
+
+    assert _outcome(one_step) == _outcome(lambda: _peel_normalize(num, k))
