@@ -21,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import NonTerminating, RankMismatch
+from .errors import InvalidWeight, NonTerminating, RankMismatch
 from .laurent import LaurentPoly, signed_orbit_sum
 from .weights import is_dominant, rho
 
@@ -66,30 +66,38 @@ class Character:
         return f"Character({self.poly!r})"
 
 
+def _dominant(w) -> tuple:
+    """w as a tuple of ints; InvalidWeight unless it is dominant."""
+    w = tuple(int(x) for x in w)
+    if not is_dominant(w):
+        raise InvalidWeight(f"{w} is not dominant")
+    return w
+
+
 @lru_cache(maxsize=None)
 def _weyl_character_poly(w: tuple) -> LaurentPoly:
-    d = len(w)
-    r = rho(d)
-    shifted = tuple(a + b for a, b in zip(w, r))
-    numerator = signed_orbit_sum(shifted)
-    denominator = signed_orbit_sum(r)
-    return numerator.divide(denominator)
+    """A(w + rho) / A(rho) for a dominant w with w[-1] = 0: one entry per
+    translation class of weights."""
+    r = rho(len(w))
+    numerator = signed_orbit_sum(tuple(a + b for a, b in zip(w, r)))
+    return numerator.divide(signed_orbit_sum(r))
+
+
+def _character_poly(w: tuple) -> LaurentPoly:
+    """ch H0(w) = e(c, ..., c) ch H0(w - c (1, ..., 1)) for c = w[-1]."""
+    c = w[-1]
+    poly = _weyl_character_poly(tuple(x - c for x in w))
+    return poly * LaurentPoly.monomial((c,) * len(w)) if c else poly
 
 
 def weyl_character(w) -> Character:
     """ch H0(w) = A(w + rho) / A(rho) for dominant w, as an exact quotient."""
-    w = tuple(int(x) for x in w)
-    if not is_dominant(w):
-        raise ValueError(f"{w} is not dominant")
-    return Character(_weyl_character_poly(w), check=False)
+    return Character(_character_poly(_dominant(w)), check=False)
 
 
 def weyl_dim(w) -> int:
     """dim H0(w) for dominant w via the product formula."""
-    w = tuple(int(x) for x in w)
-    if not is_dominant(w):
-        raise ValueError(f"{w} is not dominant")
-    return generalized_weyl_dim(w)
+    return generalized_weyl_dim(_dominant(w))
 
 
 def generalized_weyl_dim(v) -> int:
@@ -148,22 +156,23 @@ def decompose(ch: Character) -> dict:
 def tensor_multiplicities(weights) -> dict:
     """Multiplicities of the Weyl characters in prod_i ch H0(w_i).
 
-    The weights must be dominant and of one length (RankMismatch
-    otherwise).  The weight with the widest spread enters as
-    A(w + rho), so its character is never divided out.
+    The weights must be dominant (InvalidWeight otherwise, also for an
+    empty list) and of one length (RankMismatch otherwise).  The weight
+    with the widest spread enters as A(w + rho), so its character is
+    never divided out.
     """
     ws = [tuple(int(x) for x in w) for w in weights]
     if not ws:
-        raise ValueError("need at least one weight")
+        raise InvalidWeight("need at least one weight")
     if len({len(w) for w in ws}) > 1:
         raise RankMismatch(f"weights of lengths {sorted({len(w) for w in ws})}")
     r = rho(len(ws[0]))
     for w in ws:
         if not is_dominant(w):
-            raise ValueError(f"{w} is not dominant")
+            raise InvalidWeight(f"{w} is not dominant")
     top = max(ws, key=lambda w: w[0] - w[-1])
     ws.remove(top)
     product = signed_orbit_sum(tuple(a + b for a, b in zip(top, r)))
     for w in ws:
-        product = product * _weyl_character_poly(w)
+        product = product * _character_poly(w)
     return _read_off(product)

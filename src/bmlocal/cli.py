@@ -23,11 +23,12 @@ import argparse
 import json
 import random
 import sys
+from math import prod
 
 from . import __version__
 from .bm_mult import bm_identity
 from .breuil_kisin import BKMatrix, inverse_direction_check, torsor_solve
-from .characters import decompose, tensor_multiplicities, weyl_character
+from .characters import decompose, tensor_multiplicities, weyl_character, weyl_dim
 from .errors import BMLocalError
 from .grassmannian import (
     Lattice,
@@ -35,8 +36,6 @@ from .grassmannian import (
     lattice_dual,
     nabla_cell_dimension,
     nabla_cell_dimension_bruteforce,
-    nabla_check,
-    filtration_to_lattice,
     smith_type,
     special_base,
 )
@@ -95,6 +94,14 @@ def _st_key(st) -> str:
     )
 
 
+def _dimension_identity_holds(mu: HodgeType, terms) -> bool:
+    """prod_k dim H0(mu_k - rho) = sum_terms m * prod_k0 dim H0(lam_k0), both
+    sides by the Weyl product formula, not by the character read-off."""
+    lhs = prod(weyl_dim(w) for w in _minus_rho(mu.weights.values()))
+    rhs = sum(m * prod(weyl_dim(w) for w in st.weights()) for st, m, _ in terms)
+    return lhs == rhs
+
+
 def cmd_bm_identity(config: dict) -> dict:
     _known_keys(config, {"field", "mu", "task", "seed"})
     mu = _hodge_from_config(config)
@@ -116,7 +123,7 @@ def cmd_bm_identity(config: dict) -> dict:
         "terms": terms,
         "bound_report": _jsonable(ident.bound_report),
         "steinberg": [_st_key(s) for s in ident.steinberg_flags],
-        "pass": True,
+        "pass": _dimension_identity_holds(mu, ident.terms),
     }
 
 

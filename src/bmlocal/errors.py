@@ -26,6 +26,7 @@ __all__ = [
     "IntegralityFailure",
     "WildRamification",
     "NotPrime",
+    "InvalidWeight",
 ]
 
 
@@ -108,3 +109,7 @@ class WildRamification(BMLocalError):
 
 class NotPrime(BMLocalError):
     """A characteristic p required to be prime is not (or cannot be certified)."""
+
+
+class InvalidWeight(BMLocalError, ValueError):
+    """A weight list is empty, or a weight required to be dominant is not."""

@@ -15,7 +15,10 @@ elementary-divisor type and duality are all decided by valuations at
 the places.  This module provides:
 
 * smith_type / lattice_dual (elementary divisors, inverse-transpose);
-* filtration_to_lattice (the generic-fibre filtration model, d = 2);
+* filtration_to_lattice (the generic-fibre filtration model, d = 2): the
+  span of f S^2, f = prod (u - pi_j)^{a_j}, and one generator per
+  filtration line; it lies between f S^2 and S^2, so by CRT over the
+  places its localisation at pi_j is the j-th filtration module;
 * nabla_check (the condition E(u) * nabla(L) inside u L, nabla = u d/du);
 * nabla_cell_dimension (dimension of the nabla locus inside a cell);
 * psi_lattice (the span of C^{-1} for a Frobenius matrix C).
@@ -418,13 +421,20 @@ def nabla_cell_dimension_bruteforce(lam, e: int, p: int) -> int:
 
 
 def filtration_to_lattice(base: BaseRing, mu_weights, fils, n=None) -> Lattice:
-    """Intersect the per-place filtration modules into a single lattice
-    (generic fibre, d = 2), with the auxiliary place-power factor cleared.
+    """The lattice whose localisation at each place c_j is the j-th
+    filtration module (generic fibre, d = 2), with the auxiliary
+    place-power factor cleared.
 
     ``mu_weights[j]`` is the dominant pair (mu1, mu2) at place j;
-    ``fils[j]`` is the line of the filtration (a nonzero 2-vector over Q)
-    when mu1 > mu2, and None when mu1 = mu2.  ``n[j]`` shifts exponents
+    ``fils[j]`` is the line v_j of the filtration (a nonzero 2-vector over
+    Q) when mu1 > mu2, and None when mu1 = mu2.  ``n[j]`` shifts exponents
     nonnegative (chosen automatically when omitted).
+
+    With a_j = mu1 + n_j, b_j = mu2 + n_j and f = prod_i (u - c_i)^{a_i},
+    the lattice is spanned by f S^2 and the columns
+    (u - c_j)^{b_j} prod_{i != j} (u - c_i)^{a_i} v_j.  By CRT a module
+    between f S^2 and S^2 is fixed by its localisations, and at c_j this
+    span is <(u - c_j)^{b_j} v_j, (u - c_j)^{a_j} S^2>, the j-th module.
     """
     if base.kind != "generic":
         raise ValueError("filtration_to_lattice expects a generic-fibre base")
@@ -444,116 +454,27 @@ def filtration_to_lattice(base: BaseRing, mu_weights, fils, n=None) -> Lattice:
     for w, nk in zip(mu_weights, n):
         if w[1] + nk < 0:
             raise FiltrationTypeMismatch("n must make all exponents nonnegative")
-    # per-place generating columns of sum_i (u-c)^{i+n} S Fil^{-i}
-    modules = []
     f = Poly.one(F)
-    for j in range(e):
-        mu1, mu2 = mu_weights[j]
-        a, b = mu1 + n[j], mu2 + n[j]
-        lin = base.place_poly(j)
-        pow_a = lin ** a
-        cols = [
-            [pow_a if i == r else Poly.zero(F) for i in range(2)]
-            for r in range(2)
-        ]
+    for j, w in enumerate(mu_weights):
+        f = f * base.place_poly(j) ** (w[0] + n[j])
+    zero = Poly.zero(F)
+    cols = [[f, zero], [zero, f]]
+    for j, ((mu1, mu2), v) in enumerate(zip(mu_weights, fils)):
         if mu1 > mu2:
-            v = fils[j]
             if v is None or all(Fraction(x) == 0 for x in v):
                 raise FiltrationTypeMismatch(
                     f"place {j}: a filtration line is required when mu1 > mu2"
                 )
-            pow_b = lin ** b
-            cols.append([pow_b.scale(Fraction(x)) for x in v])
-        elif fils[j] is not None:
+            # (u - c_j)^{b_j} prod_{i != j} (u - c_i)^{a_i}
+            g = f.divide_exact(base.place_poly(j) ** (mu1 - mu2))
+            cols.append([g.scale(Fraction(x)) for x in v])
+        elif v is not None:
             raise FiltrationTypeMismatch(
                 f"place {j}: no filtration line allowed when mu1 = mu2"
             )
-        modules.append(cols)
-        # every module sits between f S^2 and S^2 for f = prod (u-c_j)^{a_j}
-        f = f * pow_a
-    degf = f.degree()
-    dim_v = 2 * degf
-    if degf == 0:
-        result = Lattice.standard(base, 2)
-    else:
-        basis_maps = []
-        for cols in modules:
-            vectors = []
-            for c in cols:
-                for t in range(degf):
-                    shifted = [q.shift(t) for q in c]
-                    reduced = [q.divmod(f)[1] for q in shifted]
-                    vectors.append(_flatten(reduced, degf))
-            basis_maps.append(_row_space(vectors))
-        W = basis_maps[0]
-        for other in basis_maps[1:]:
-            W = _subspace_intersection(W, other, dim_v)
-        # lift W back to polynomial columns and append the generators of f S^2
-        cols = [_unflatten(w, degf, F) for w in W]
-        cols.append([f, Poly.zero(F)])
-        cols.append([Poly.zero(F), f])
-        gens = column_hermite(cols, 2)
-        result = Lattice(base, gens)
+    result = Lattice(base, column_hermite(cols, 2))
     # clear the auxiliary factor prod (u - c_j)^{n_j}
     for j in range(e):
         if n[j]:
             result = result.scale_place(j, -n[j])
     return result
-
-
-def _flatten(polys, degf):
-    out = []
-    for q in polys:
-        cs = list(q.coeffs) + [Fraction(0)] * (degf - len(q.coeffs))
-        out.extend(cs[:degf])
-    return out
-
-
-def _unflatten(vec, degf, F):
-    return [
-        Poly(F, list(vec[i * degf : (i + 1) * degf])) for i in range(2)
-    ]
-
-
-def _row_space(vectors):
-    """Reduced row echelon basis of the span of rational vectors."""
-    return row_reduce(vectors, QQ)[0]
-
-
-def _subspace_intersection(A, B, width):
-    """Intersection of two subspaces given by row bases, via the kernel of
-    the stacked system x = sum a_i A_i = sum b_j B_j."""
-    if not A or not B:
-        return []
-    # solve [A^T | -B^T] (a, b)^T = 0 over Q
-    rows = width
-    cols = len(A) + len(B)
-    M = [
-        [A[i][r] for i in range(len(A))] + [-B[j][r] for j in range(len(B))]
-        for r in range(rows)
-    ]
-    kernel = _nullspace(M, cols)
-    out = []
-    for k in kernel:
-        vec = [
-            sum(k[i] * A[i][r] for i in range(len(A))) for r in range(width)
-        ]
-        if any(x != 0 for x in vec):
-            out.append(vec)
-    return _row_space(out)
-
-
-def _nullspace(M, cols):
-    """Kernel basis of a rational matrix given as a list of rows: one vector
-    per free column, read off the reduced row echelon form."""
-    rows, pivots = row_reduce(M, QQ)
-    basis = []
-    for fc in range(cols):
-        if fc in pivots:
-            continue
-        vec = [Fraction(0)] * cols
-        vec[fc] = Fraction(1)
-        for row, c in zip(rows, pivots):
-            vec[c] = -row[fc]
-        basis.append(vec)
-    return basis

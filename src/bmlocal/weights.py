@@ -10,6 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .errors import InvalidWeight
+from .primes import require_prime
+
 __all__ = [
     "Weight",
     "rho",
@@ -77,6 +80,7 @@ class EmbeddingData:
     ``embeddings`` lists all e*f embedding labels; ``restriction`` maps
     each embedding to the residue embedding it restricts to;
     ``distinguished_lift`` picks one embedding above each residue label.
+    ``p`` must be prime (NotPrime otherwise).
     """
 
     p: int
@@ -88,6 +92,7 @@ class EmbeddingData:
     distinguished_lift: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        require_prime(self.p)
         if not self.residue_embeddings:
             res = tuple(range(self.f))
             embs = tuple((i, j) for i in range(self.f) for j in range(self.e))
@@ -137,7 +142,7 @@ class HodgeType:
             raise ValueError("all weights must share the same length d")
         for k, w in clean.items():
             if not is_dominant(w):
-                raise ValueError(f"weight {w} at embedding {k} is not dominant")
+                raise InvalidWeight(f"weight {w} at embedding {k} is not dominant")
 
     @property
     def d(self) -> int:

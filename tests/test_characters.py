@@ -9,14 +9,16 @@ from hypothesis import strategies as st
 
 from bmlocal.characters import (
     Character,
+    _weyl_character_poly,
     decompose,
     generalized_weyl_dim,
     tensor_multiplicities,
     weyl_character,
     weyl_dim,
 )
-from bmlocal.errors import NonTerminating, RankMismatch
-from bmlocal.weights import is_dominant
+from bmlocal.errors import InvalidWeight, NonTerminating, RankMismatch
+from bmlocal.laurent import signed_orbit_sum
+from bmlocal.weights import is_dominant, rho
 
 
 def peel(ch):
@@ -160,9 +162,31 @@ def test_decompose_virtual_matches_peeling(terms):
 
 
 def test_tensor_multiplicities_refusals():
-    with pytest.raises(ValueError, match="at least one weight"):
+    with pytest.raises(InvalidWeight, match="at least one weight"):
         tensor_multiplicities([])
     with pytest.raises(RankMismatch):
         tensor_multiplicities([(2, 0), (1, 0, 0)])
-    with pytest.raises(ValueError, match="not dominant"):
+    with pytest.raises(InvalidWeight, match="not dominant"):
         tensor_multiplicities([(2, 0), (0, 1)])
+
+
+@given(st.integers(2, 4).flatmap(dominant_weights),
+       st.sampled_from([10**6, -10**6, -10**12]))
+@settings(max_examples=40, deadline=None)
+def test_translated_character_matches_direct_quotient(w, c):
+    moved = tuple(x + c for x in w)
+    r = rho(len(w))
+    direct = signed_orbit_sum(tuple(a + b for a, b in zip(moved, r))).divide(
+        signed_orbit_sum(r))
+    assert weyl_character(moved).poly == direct
+
+
+def test_translates_share_one_cache_entry():
+    w = (3, 1, 0)
+    weyl_character(w)
+    size = _weyl_character_poly.cache_info().currsize
+    for k in range(1, 51):
+        moved = tuple(x + 7919 * k for x in w)
+        weyl_character(moved)
+        tensor_multiplicities([(6, 0, 0), moved])
+    assert _weyl_character_poly.cache_info().currsize == size

@@ -1,11 +1,13 @@
 """CLI behaviour: determinism, exit codes, config validation."""
 
+import dataclasses
 import json
 import subprocess
 import sys
 
 import pytest
 
+from bmlocal import cli
 from bmlocal.cli import main
 
 BM_CONFIG = {"field": {"p": 5, "e": 2, "f": 1}, "mu": [[2, 0], [2, 0]]}
@@ -138,8 +140,39 @@ def test_hilbert_defect_mixed_ranks_refused(tmp_path):
     [("decompose", {"weights": []}), ("hilbert-defect", {"mu_list": []})],
 )
 def test_empty_weight_list_rejected(tmp_path, command, config):
-    with pytest.raises(ValueError, match="at least one weight"):
-        run_cli(tmp_path, command, config)
+    code, text = run_cli(tmp_path, command, config)
+    assert code == 1
+    report = json.loads(text)
+    assert report["error"] == "InvalidWeight" and not report["pass"]
+    assert "at least one weight" in report["message"]
+
+
+@pytest.mark.parametrize(
+    "command, config",
+    [("decompose", {"weights": [[0, 1]]}),
+     ("hilbert-defect", {"mu_list": [[0, 1], [2, 0]]}),
+     ("bm-identity", dict(BM_CONFIG, mu=[[0, 2], [2, 0]]))],
+)
+def test_non_dominant_weight_rejected(tmp_path, command, config):
+    code, text = run_cli(tmp_path, command, config)
+    assert code == 1
+    report = json.loads(text)
+    assert report["error"] == "InvalidWeight" and not report["pass"]
+    assert "not dominant" in report["message"]
+
+
+def test_bm_identity_verdict_is_checked(tmp_path, monkeypatch):
+    real = cli.bm_identity
+
+    def off_by_one(mu):
+        ident = real(mu)
+        (st, m, lift), *rest = ident.terms
+        return dataclasses.replace(ident, terms=((st, m + 1, lift), *rest))
+
+    monkeypatch.setattr(cli, "bm_identity", off_by_one)
+    code, text = run_cli(tmp_path, "bm-identity", BM_CONFIG)
+    assert code == 1
+    assert json.loads(text)["pass"] is False
 
 
 def test_override_bounds_only_for_interpolate(tmp_path, capsys):

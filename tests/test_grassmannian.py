@@ -2,8 +2,11 @@
 cell dimensions, and the filtration-to-lattice construction."""
 
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bmlocal.errors import (
     BoundViolated,
@@ -25,7 +28,7 @@ from bmlocal.grassmannian import (
     smith_type,
     special_base,
 )
-from bmlocal.polyfield import Poly
+from bmlocal.polyfield import QQ, Poly, column_hermite, row_reduce
 from bmlocal.series import LaurentSeriesMatrix, TruncSeries
 from bmlocal.weights import dual_weight
 
@@ -277,3 +280,183 @@ def test_filtration_outputs_contain_nabla_random():
                 fils.append(None)
         L = filtration_to_lattice(base, mus, fils)
         assert nabla_check(L)
+
+
+# -- the row-space construction filtration_to_lattice replaced ---------------
+
+
+def _reference_filtration_to_lattice(base, mu_weights, fils, n=None):
+    """Reference: intersect the per-place filtration modules, as row spaces
+    of Q^(2 deg f), into a single lattice (generic fibre, d = 2), with the
+    auxiliary place-power factor cleared.
+
+    ``mu_weights[j]`` is the dominant pair (mu1, mu2) at place j;
+    ``fils[j]`` is the line of the filtration (a nonzero 2-vector over Q)
+    when mu1 > mu2, and None when mu1 = mu2.  ``n[j]`` shifts exponents
+    nonnegative (chosen automatically when omitted).
+    """
+    if base.kind != "generic":
+        raise ValueError("filtration_to_lattice expects a generic-fibre base")
+    F = base.field
+    e = len(base.places)
+    if len(mu_weights) != e or len(fils) != e:
+        raise FiltrationTypeMismatch("need one weight and one filtration per place")
+    mu_weights = [tuple(int(x) for x in w) for w in mu_weights]
+    for w in mu_weights:
+        if len(w) != 2:
+            raise UnsupportedRank("filtration model implemented for d = 2")
+        if w[0] < w[1]:
+            raise FiltrationTypeMismatch(f"{w} is not dominant")
+    if n is None:
+        n = [max(0, -w[1]) for w in mu_weights]
+    n = [int(x) for x in n]
+    for w, nk in zip(mu_weights, n):
+        if w[1] + nk < 0:
+            raise FiltrationTypeMismatch("n must make all exponents nonnegative")
+    # per-place generating columns of sum_i (u-c)^{i+n} S Fil^{-i}
+    modules = []
+    f = Poly.one(F)
+    for j in range(e):
+        mu1, mu2 = mu_weights[j]
+        a, b = mu1 + n[j], mu2 + n[j]
+        lin = base.place_poly(j)
+        pow_a = lin ** a
+        cols = [
+            [pow_a if i == r else Poly.zero(F) for i in range(2)]
+            for r in range(2)
+        ]
+        if mu1 > mu2:
+            v = fils[j]
+            if v is None or all(Fraction(x) == 0 for x in v):
+                raise FiltrationTypeMismatch(
+                    f"place {j}: a filtration line is required when mu1 > mu2"
+                )
+            pow_b = lin ** b
+            cols.append([pow_b.scale(Fraction(x)) for x in v])
+        elif fils[j] is not None:
+            raise FiltrationTypeMismatch(
+                f"place {j}: no filtration line allowed when mu1 = mu2"
+            )
+        modules.append(cols)
+        # every module sits between f S^2 and S^2 for f = prod (u-c_j)^{a_j}
+        f = f * pow_a
+    degf = f.degree()
+    dim_v = 2 * degf
+    if degf == 0:
+        result = Lattice.standard(base, 2)
+    else:
+        basis_maps = []
+        for cols in modules:
+            vectors = []
+            for c in cols:
+                for t in range(degf):
+                    shifted = [q.shift(t) for q in c]
+                    reduced = [q.divmod(f)[1] for q in shifted]
+                    vectors.append(_flatten(reduced, degf))
+            basis_maps.append(_row_space(vectors))
+        W = basis_maps[0]
+        for other in basis_maps[1:]:
+            W = _subspace_intersection(W, other, dim_v)
+        # lift W back to polynomial columns and append the generators of f S^2
+        cols = [_unflatten(w, degf, F) for w in W]
+        cols.append([f, Poly.zero(F)])
+        cols.append([Poly.zero(F), f])
+        gens = column_hermite(cols, 2)
+        result = Lattice(base, gens)
+    # clear the auxiliary factor prod (u - c_j)^{n_j}
+    for j in range(e):
+        if n[j]:
+            result = result.scale_place(j, -n[j])
+    return result
+
+
+def _flatten(polys, degf):
+    out = []
+    for q in polys:
+        cs = list(q.coeffs) + [Fraction(0)] * (degf - len(q.coeffs))
+        out.extend(cs[:degf])
+    return out
+
+
+def _unflatten(vec, degf, F):
+    return [
+        Poly(F, list(vec[i * degf : (i + 1) * degf])) for i in range(2)
+    ]
+
+
+def _row_space(vectors):
+    """Reduced row echelon basis of the span of rational vectors."""
+    return row_reduce(vectors, QQ)[0]
+
+
+def _subspace_intersection(A, B, width):
+    """Intersection of two subspaces given by row bases, via the kernel of
+    the stacked system x = sum a_i A_i = sum b_j B_j."""
+    if not A or not B:
+        return []
+    # solve [A^T | -B^T] (a, b)^T = 0 over Q
+    rows = width
+    cols = len(A) + len(B)
+    M = [
+        [A[i][r] for i in range(len(A))] + [-B[j][r] for j in range(len(B))]
+        for r in range(rows)
+    ]
+    kernel = _nullspace(M, cols)
+    out = []
+    for k in kernel:
+        vec = [
+            sum(k[i] * A[i][r] for i in range(len(A))) for r in range(width)
+        ]
+        if any(x != 0 for x in vec):
+            out.append(vec)
+    return _row_space(out)
+
+
+def _nullspace(M, cols):
+    """Kernel basis of a rational matrix given as a list of rows: one vector
+    per free column, read off the reduced row echelon form."""
+    rows, pivots = row_reduce(M, QQ)
+    basis = []
+    for fc in range(cols):
+        if fc in pivots:
+            continue
+        vec = [Fraction(0)] * cols
+        vec[fc] = Fraction(1)
+        for row, c in zip(rows, pivots):
+            vec[c] = -row[fc]
+        basis.append(vec)
+    return basis
+
+
+@st.composite
+def filtration_data(draw):
+    e = draw(st.integers(1, 3))
+    pis = draw(st.lists(st.sampled_from([1, -1, 2, -2, 3, -3, 5]),
+                        min_size=e, max_size=e, unique=True))
+    mus, fils = [], []
+    for _ in range(e):
+        mu = sorted(draw(st.lists(st.integers(-2, 3), min_size=2, max_size=2)),
+                    reverse=True)
+        mus.append(tuple(mu))
+        if mu[0] > mu[1]:
+            fils.append(draw(st.lists(st.integers(-2, 2), min_size=2, max_size=2)
+                             .filter(any)))
+        else:
+            fils.append(None)
+    n = None
+    if draw(st.booleans()):
+        n = [max(0, -mu[1]) + draw(st.integers(0, 1)) for mu in mus]
+    return pis, mus, fils, n
+
+
+@given(filtration_data())
+@settings(max_examples=200, deadline=None)
+def test_filtration_matches_row_space_reference(case):
+    pis, mus, fils, n = case
+    base = generic_base(pis)
+    got = filtration_to_lattice(base, mus, fils, n)
+    want = _reference_filtration_to_lattice(base, mus, fils, n)
+    assert got == want
+    assert got.den == want.den
+    for j in range(len(pis)):
+        assert smith_type(got, j) == smith_type(want, j)

@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from bmlocal.errors import NotPrime
 from bmlocal.weights import (
     EmbeddingData,
     HodgeType,
@@ -105,3 +106,8 @@ def test_validate_hodge_bound():
     assert not validate_hodge_bound(big, "natural")["pass"]
     with pytest.raises(ValueError):
         validate_hodge_bound(mu, "nonsense")
+
+
+def test_embedding_data_requires_prime():
+    with pytest.raises(NotPrime):
+        EmbeddingData.standard(6, 1, 1)
