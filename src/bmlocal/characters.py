@@ -18,7 +18,6 @@ in place of A(rho) times ch H0(w).
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 
 from .errors import InvalidWeight, NonTerminating, RankMismatch
@@ -111,12 +110,14 @@ def generalized_weyl_dim(v) -> int:
     """
     v = tuple(int(x) for x in v)
     d = len(v)
-    out = Fraction(1)
+    num = den = 1
     for i in range(d):
         for j in range(i + 1, d):
-            out *= Fraction(v[i] - v[j] + j - i, j - i)
-    assert out.denominator == 1
-    return int(out)
+            num *= v[i] - v[j] + j - i
+            den *= j - i
+    out, rest = divmod(num, den)
+    assert rest == 0
+    return out
 
 
 def scale_exponents(ch: Character, n: int) -> Character:

@@ -29,7 +29,7 @@ from . import __version__
 from .bm_mult import bm_identity
 from .breuil_kisin import BKMatrix, inverse_direction_check, torsor_solve
 from .characters import decompose, tensor_multiplicities, weyl_character, weyl_dim
-from .errors import BMLocalError
+from .errors import BMLocalError, InvalidWeight
 from .grassmannian import (
     Lattice,
     generic_base,
@@ -83,7 +83,7 @@ def _hodge_from_config(config: dict) -> HodgeType:
     emb = EmbeddingData.standard(*_field_from_config(config))
     mus = [tuple(int(x) for x in w) for w in config["mu"]]
     if len(mus) != len(emb.embeddings):
-        raise ValueError("need one weight per embedding (f*e of them)")
+        raise InvalidWeight("need one weight per embedding (f*e of them)")
     weights = dict(zip(emb.embeddings, mus))
     return HodgeType(weights=weights, embedding_data=emb)
 

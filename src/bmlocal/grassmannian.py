@@ -106,7 +106,7 @@ def generic_base(pis) -> BaseRing:
 class Lattice:
     """Column span of num * prod_j (u - c_j)^{-den_j} over the localized base."""
 
-    __slots__ = ("base", "num", "den", "d")
+    __slots__ = ("base", "num", "den", "d", "_det", "_adj")
 
     def __init__(self, base: BaseRing, num, den=None):
         self.base = base
@@ -119,7 +119,8 @@ class Lattice:
         if len(self.den) != len(base.places):
             raise ValueError("one denominator exponent per place required")
         self._normalize()
-        if det(self.num).is_zero():
+        self._det, self._adj = det(self.num), None
+        if self._det.is_zero():
             raise SingularMatrix("generator matrix is singular")
 
     def _normalize(self):
@@ -200,7 +201,10 @@ class Lattice:
     # -- membership and equality -----------------------------------------
 
     def _det_and_adj(self):
-        return det(self.num), adjugate(self.num, Poly.one(self.base.field))
+        """det(num) and adj(num); the adjugate is computed on first use."""
+        if self._adj is None:
+            self._adj = adjugate(self.num, Poly.one(self.base.field))
+        return self._det, self._adj
 
     def contains(self, vec, vec_den=None) -> bool:
         """Membership of a rational vector: polynomials ``vec`` divided by
@@ -368,6 +372,11 @@ def nabla_check(L: Lattice) -> bool:
     return True
 
 
+def _require_positive_e(e: int):
+    if e < 1:
+        raise BoundViolated(f"e = {e}: the ramification index must be >= 1")
+
+
 def nabla_cell_dimension(lam, e: int, p: int) -> NablaCell:
     """Dimension of the nabla locus inside the cell of a dominant d=2
     weight lam on the special fibre, by solving the coefficient constraint.
@@ -375,9 +384,10 @@ def nabla_cell_dimension(lam, e: int, p: int) -> NablaCell:
     The cell coordinate is the single below-diagonal entry a(u) of degree
     < lam_1 - lam_2; the condition forces k * a_k = 0 over F_p for
     1 <= k <= lam_1 - lam_2 - e.  Requires lam_1 - lam_2 <= e + p - 1 and
-    p prime (NotPrime otherwise).
+    e >= 1 (BoundViolated otherwise), and p prime (NotPrime otherwise).
     """
     require_prime(p)
+    _require_positive_e(e)
     lam = tuple(int(x) for x in lam)
     if len(lam) != 2:
         raise UnsupportedRank("cell dimensions are implemented for d = 2")
@@ -399,6 +409,7 @@ def nabla_cell_dimension(lam, e: int, p: int) -> NablaCell:
 def nabla_cell_dimension_bruteforce(lam, e: int, p: int) -> int:
     """Independent check: build the full F_p constraint matrix on the
     coefficients of a(u) and compute its kernel dimension."""
+    _require_positive_e(e)
     lam = tuple(int(x) for x in lam)
     if len(lam) != 2:
         raise UnsupportedRank("cell dimensions are implemented for d = 2")

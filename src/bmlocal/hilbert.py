@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .characters import generalized_weyl_dim
-from .errors import WindowTooShort
+from .errors import BoundViolated, WindowTooShort
 from .weights import flag_dim, rho
 
 __all__ = [
@@ -91,8 +91,11 @@ def _rhs(mu_list, mult: dict, n: int, shift: str) -> int:
 def shifted_identity_check(mu_list, mult: dict, n_max: int):
     """Verify the shifted identity exactly for n = 1..n_max.
 
-    Returns (True, None) or (False, first failing n).
+    Returns (True, None) or (False, first failing n).  Refuses n_max < 1
+    (BoundViolated), which would check nothing.
     """
+    if n_max < 1:
+        raise BoundViolated(f"n_max = {n_max} checks no n; need n_max >= 1")
     for n in range(1, n_max + 1):
         lhs = dim_product(mu_list, n, "minus_rho")
         rhs = _rhs(mu_list, mult, n, "minus_rho")

@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import BoundViolated, IntegralityFailure, PrecisionExhausted
-from .localfield import LocalFieldElement, TameFieldContext
+from .localfield import LocalFieldElement, TameFieldContext, times_power
 
 __all__ = [
     "nu_invariant",
@@ -113,6 +113,9 @@ class LocalPoly:
                 out[i + j] = out[i + j] + a * b
         return LocalPoly(self.ctx, out, self.center)
 
+    def __pow__(self, k: int) -> "LocalPoly":
+        return times_power(LocalPoly.one(self.ctx, self.center), self, k)
+
     def scale(self, c: LocalFieldElement) -> "LocalPoly":
         return LocalPoly(self.ctx, [a * c for a in self.coeffs], self.center)
 
@@ -160,9 +163,7 @@ def geometric_kernel(
     # accumulate (-1)^n inv^{n + r_other} without recomputing powers; the
     # alternating sign comes from (1 + y)^{-r} = sum binom(r-1+n, r-1)(-y)^n
     # and is what makes the defining congruence below hold
-    power = ctx.one()
-    for _ in range(r_other):
-        power = power * inv
+    power = inv ** r_other
     for n in range(r_target):
         binom = math.comb(r_other - 1 + n, r_other - 1)
         if n % 2 == 1:
@@ -178,10 +179,7 @@ def verify_geometric_kernel(X: LocalPoly, r_target: int, r_other: int, pi_kp) ->
     pi_k = X.center
     # (u - pi_kp) in the (u - pi_k) basis: X + (pi_k - pi_kp)
     lin = LocalPoly(ctx, [pi_k - pi_kp, ctx.one()], center=pi_k)
-    prod = X
-    for _ in range(r_other):
-        prod = prod * lin
-    prod = prod.truncate(r_target)
+    prod = times_power(X, lin, r_other).truncate(r_target)
     expected = LocalPoly.one(ctx, center=pi_k)
     diff = prod - expected
     return all(c.is_zero_to_precision() for c in diff.coeffs)
@@ -277,8 +275,7 @@ def interpolate_claim(
         lin = LocalPoly(
             ctx, [pi_t - ctx.pi_conjugate(j), ctx.one()], center=pi_t
         )
-        for _ in range(r[j]):
-            M = M * lin
+        M = times_power(M, lin, r[j])
 
     # (i) congruence at the target
     diff = (M - m_poly).truncate(r_t)

@@ -21,13 +21,15 @@ are refused.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
+from functools import reduce
 
 from .errors import IndeterminateValuation, WildRamification
 from .polyfield import QQ, Poly, row_reduce
 from .primes import require_prime
 
-__all__ = ["TameFieldContext", "LocalFieldElement", "lf_valuation"]
+__all__ = ["TameFieldContext", "LocalFieldElement", "lf_valuation", "times_power"]
 
 
 def _vp(x: Fraction, p: int):
@@ -322,6 +324,9 @@ class LocalFieldElement:
 
     __rmul__ = __mul__
 
+    def __pow__(self, k: int) -> "LocalFieldElement":
+        return times_power(self.ctx.one(), self, k)
+
     def inverse(self) -> "LocalFieldElement":
         """Field inverse by exact rational linear algebra on the basis."""
         ctx = self.ctx
@@ -354,6 +359,14 @@ def _solve(M, rhs):
     if pivots != list(range(n)):
         return None
     return [row[n] for row in rows]
+
+
+def times_power(x, y, k: int):
+    """x * y * ... * y with k factors y, multiplied left to right.
+
+    Products track precision from the factors' valuations, so the order is
+    part of the result: x * y**k may carry a different precision."""
+    return reduce(operator.mul, [y] * k, x)
 
 
 def lf_valuation(x: LocalFieldElement):

@@ -1,19 +1,22 @@
-"""Exact univariate polynomials over a field (GF(p) or Q), and the one
-home of the package's exact matrix algorithms.
+"""Exact univariate polynomials over GF(p) or Q, and the one home of the
+package's exact matrix algorithms.
 
-The two field adapters expose the same tiny protocol so a single Poly
-implementation serves both base configurations, and ``row_reduce`` works
-over either adapter.  ``mat_mul``, ``det`` and ``adjugate`` only use ring
-operations on the entries (+, -, *), so the same code serves matrices of
-``Poly`` (the lattice models) and of ``TruncSeries`` (the Breuil-Kisin
-matrices).  ``column_hermite`` reduces generating columns over k[u].
+``Poly`` keeps integer coefficients on both fields: residues in [0, p)
+over GF(p), and over Q integer numerators over one positive denominator
+in lowest terms, so its arithmetic is on ints with one gcd per result.
+The field adapters ``QQ`` and ``GFp`` serve ``row_reduce``.  ``mat_mul``,
+``det`` and ``adjugate`` only use ring operations on the entries (+, -,
+*), so the same code serves matrices of ``Poly`` (the lattice models)
+and of ``TruncSeries`` (the Breuil-Kisin matrices).  ``column_hermite``
+reduces generating columns over k[u].
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from functools import reduce
-from operator import add
+from math import gcd, lcm
 
 from .primes import require_prime
 
@@ -33,37 +36,16 @@ class QQ:
     """The rationals, via fractions.Fraction."""
 
     name = "QQ"
-
-    @staticmethod
-    def of(x):
-        return Fraction(x)
-
+    p = 0  # the characteristic
     zero = Fraction(0)
     one = Fraction(1)
-
-    @staticmethod
-    def add(a, b):
-        return a + b
-
-    @staticmethod
-    def sub(a, b):
-        return a - b
-
-    @staticmethod
-    def mul(a, b):
-        return a * b
-
-    @staticmethod
-    def neg(a):
-        return -a
-
-    @staticmethod
-    def inv(a):
-        return 1 / a
-
-    @staticmethod
-    def is_zero(a):
-        return a == 0
+    of = staticmethod(Fraction)
+    add = staticmethod(operator.add)
+    sub = staticmethod(operator.sub)
+    mul = staticmethod(operator.mul)
+    neg = staticmethod(operator.neg)
+    inv = staticmethod(lambda a: 1 / a)
+    is_zero = staticmethod(operator.not_)
 
 
 class GFp:
@@ -107,136 +89,141 @@ class GFp:
 
 
 class Poly:
-    """A polynomial over a field adapter; coefficients low-to-high."""
+    """A polynomial over GF(p) or Q in integer form, coefficients low-to-high.
 
-    __slots__ = ("field", "coeffs")
+    ``nums`` are integer numerators over one positive ``den``: residues in
+    [0, p) over den 1 on GF(p); over Q in lowest terms, gcd(den, *nums) = 1
+    (den 1 for zero), so equal polynomials have equal (nums, den).
+    ``coeffs`` views them as field elements (Fractions over Q).
+    ``root_multiplicity`` divides by b u - a in Z[u] (Gauss's lemma).
+    """
 
-    def __init__(self, field, coeffs):
-        cs = [field.of(c) if not _is_elem(field, c) else c for c in coeffs]
-        while cs and field.is_zero(cs[-1]):
-            cs.pop()
-        self.field = field
-        self.coeffs = tuple(cs)
+    __slots__ = ("field", "nums", "den")
+
+    def __init__(self, field, coeffs, den=None):
+        """Field elements, or with ``den`` fresh integer numerators over it."""
+        if den is None:
+            pairs = [_ratio(field, c) for c in coeffs]
+            den = lcm(*(b for _, b in pairs))
+            coeffs = [a * (den // b) for a, b in pairs]
+        p = field.p
+        if p:
+            coeffs = [x % p for x in coeffs]
+        while coeffs and not coeffs[-1]:
+            coeffs.pop()
+        if not p and (g := gcd(den, *coeffs)) != 1:
+            coeffs, den = [x // g for x in coeffs], den // g
+        self.field, self.nums, self.den = field, tuple(coeffs), den
 
     @classmethod
     def of(cls, field, ints) -> "Poly":
-        return cls(field, [field.of(x) for x in ints])
+        return cls(field, ints)
 
     @classmethod
     def x_minus(cls, field, c) -> "Poly":
         """The polynomial u - c."""
-        return cls(field, [field.neg(field.of(c)), field.one])
+        a, b = _ratio(field, c)
+        return cls(field, [-a, b], b)
 
     @classmethod
     def zero(cls, field) -> "Poly":
-        return cls(field, [])
+        return cls(field, [], 1)
 
     @classmethod
     def one(cls, field) -> "Poly":
-        return cls(field, [field.one])
+        return cls(field, [1], 1)
+
+    @property
+    def coeffs(self) -> tuple:
+        p, d = self.field.p, self.den
+        return self.nums if p else tuple(Fraction(x, d) for x in self.nums)
 
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.nums) - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nums
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Poly)
-            and self.field == other.field
-            and self.coeffs == other.coeffs
-        )
+        return isinstance(other, Poly) and self.field == other.field and (
+            self.nums, self.den) == (other.nums, other.den)
 
     def __hash__(self):
         return hash((self.field.name, self.coeffs))
 
     def __repr__(self):
-        if self.is_zero():
-            return "Poly(0)"
-        return "Poly(" + " + ".join(
-            f"{c}*u^{i}" for i, c in enumerate(self.coeffs)
-            if not self.field.is_zero(c)
-        ) + ")"
+        terms = [f"{c}*u^{i}" for i, c in enumerate(self.coeffs) if c]
+        return "Poly(" + (" + ".join(terms) or "0") + ")"
 
     def __add__(self, other: "Poly") -> "Poly":
-        F = self.field
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [F.zero] * (n - len(self.coeffs))
-        b = list(other.coeffs) + [F.zero] * (n - len(other.coeffs))
-        return Poly(F, [F.add(x, y) for x, y in zip(a, b)])
+        da, db = self.den, other.den
+        a, b = [x * db for x in self.nums], [x * da for x in other.nums]
+        if len(a) < len(b):
+            a, b = b, a
+        for i, x in enumerate(b):
+            a[i] += x
+        return Poly(self.field, a, da * db)
 
     def __neg__(self) -> "Poly":
-        return Poly(self.field, [self.field.neg(c) for c in self.coeffs])
+        return Poly(self.field, [-x for x in self.nums], self.den)
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
 
     def __mul__(self, other: "Poly") -> "Poly":
-        F = self.field
-        if self.is_zero() or other.is_zero():
-            return Poly.zero(F)
-        out = [F.zero] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if F.is_zero(a):
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = F.add(out[i + j], F.mul(a, b))
-        return Poly(F, out)
+        a, b = self.nums, other.nums
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b, i):
+                    out[j] += x * y
+        return Poly(self.field, out, self.den * other.den)
 
     def __pow__(self, k: int) -> "Poly":
-        out = Poly.one(self.field)
-        for _ in range(k):
-            out = out * self
-        return out
+        return reduce(operator.mul, [self] * k, Poly.one(self.field))
 
     def scale(self, c) -> "Poly":
-        F = self.field
-        c = F.of(c) if not _is_elem(F, c) else c
-        return Poly(F, [F.mul(a, c) for a in self.coeffs])
+        a, b = _ratio(self.field, c)
+        return Poly(self.field, [x * a for x in self.nums], self.den * b)
 
     def shift(self, k: int) -> "Poly":
         """Multiply by u^k."""
-        if self.is_zero():
-            return self
-        return Poly(self.field, [self.field.zero] * k + list(self.coeffs))
+        return Poly(self.field, [0] * k + list(self.nums), self.den)
 
     def deriv(self) -> "Poly":
-        F = self.field
         return Poly(
-            F,
-            [F.mul(F.of(i), c) for i, c in enumerate(self.coeffs)][1:],
+            self.field, [i * x for i, x in enumerate(self.nums)][1:], self.den
         )
 
     def eval(self, c):
-        F = self.field
-        c = F.of(c) if not _is_elem(F, c) else c
-        acc = F.zero
-        for coeff in reversed(self.coeffs):
-            acc = F.add(F.mul(acc, c), coeff)
-        return acc
+        """The value at u = c, a field element (Fraction over Q)."""
+        p = self.field.p
+        a, b = _ratio(self.field, c)
+        acc, bk = 0, 1  # acc / bk * b is the value of the top terms so far
+        for x in reversed(self.nums):
+            acc, bk = acc * a + x * bk, bk * b
+        return acc % p if p else Fraction(acc * b, self.den * bk)
 
     def divmod(self, other: "Poly"):
-        F = self.field
+        """Quotient and remainder.  Over Q by pseudo-division: with lc the
+        leading numerator of other and k quotient terms, |lc|^k * self.nums
+        divides by other.nums with every quotient step exact in Z."""
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        q = [F.zero] * max(0, len(self.coeffs) - len(other.coeffs) + 1)
-        r = list(self.coeffs)
-        dlead = other.coeffs[-1]
-        dinv = F.inv(dlead)
-        dd = other.degree()
-        while len(r) - 1 >= dd and r:
-            lead = r[-1]
-            if F.is_zero(lead):
-                r.pop()
-                continue
-            k = len(r) - 1 - dd
-            factor = F.mul(lead, dinv)
-            q[k] = factor
-            for i, c in enumerate(other.coeffs):
-                r[k + i] = F.sub(r[k + i], F.mul(factor, c))
-            r.pop()
-        return Poly(F, q), Poly(F, r)
+        F, b = self.field, other.nums
+        p, lc, n = F.p, b[-1], len(b) - 1
+        k = max(len(self.nums) - n, 0)
+        inv, scale = (pow(lc, -1, p), 1) if p else (None, abs(lc) ** k)
+        r = [x * scale for x in self.nums]
+        q = [0] * k
+        for i in range(k - 1, -1, -1):
+            f = r[i + n] % p * inv % p if p else r[i + n] // lc
+            if f:
+                q[i] = f
+                for j, y in enumerate(b):
+                    r[i + j] -= f * y
+        den = scale * self.den
+        return Poly(F, [x * other.den for x in q], den), Poly(F, r[:n], den)
 
     def divide_exact(self, other: "Poly") -> "Poly":
         q, r = self.divmod(other)
@@ -245,29 +232,46 @@ class Poly:
         return q
 
     def root_multiplicity(self, c) -> int:
-        """Order of vanishing at u = c (0 if c is not a root)."""
+        """Order of vanishing at u = c (0 if c is not a root).
+
+        Repeated synthetic division of the numerators by b u - a, for
+        c = a / b in lowest terms (b = 1 over GF(p)).  b u - a is primitive,
+        so by Gauss's lemma the quotient lies in Z[u] whenever c is a root:
+        a quotient step that is not exact in Z proves c is not one.
+        """
         if self.is_zero():
             raise ValueError("zero polynomial has infinite multiplicity")
-        F = self.field
-        mult = 0
-        poly = self
-        lin = Poly.x_minus(F, c)
-        while F.is_zero(poly.eval(c)):
-            poly = poly.divide_exact(lin)
+        p = self.field.p
+        a, b = _ratio(self.field, c)
+        f, mult = self.nums, 0
+        while True:
+            g, gi = [], 0
+            for x in f[:0:-1]:
+                gi, rest = divmod(x + a * gi, b)
+                if rest:
+                    return mult
+                if p:
+                    gi %= p
+                g.append(gi)
+            top = f[0] + a * gi
+            if top % p if p else top:
+                return mult
+            f = g[::-1]
             mult += 1
-        return mult
 
 
-def _is_elem(field, c):
-    if isinstance(field, GFp):
-        return isinstance(c, int) and 0 <= c < field.p
-    return isinstance(c, Fraction)
+def _ratio(field, c):
+    """c = a / b as (a, b), b > 0: (c mod p, 1) or Q's lowest terms."""
+    if field.p:
+        return int(c) % field.p, 1
+    c = c if isinstance(c, (int, Fraction)) else Fraction(c)
+    return c.numerator, c.denominator
 
 
 def mat_mul(a, b):
     """The product of two matrices (lists of rows) over any ring."""
     return [
-        [reduce(add, [row[l] * b[l][j] for l in range(len(b))])
+        [reduce(operator.add, [row[l] * b[l][j] for l in range(len(b))])
          for j in range(len(b[0]))]
         for row in a
     ]
@@ -275,14 +279,11 @@ def mat_mul(a, b):
 
 def det(m):
     """Determinant by cofactor expansion along the first row (small d)."""
-    d = len(m)
-    if d == 1:
+    if len(m) == 1:
         return m[0][0]
-    terms = []
-    for j in range(d):
-        term = m[0][j] * det([row[:j] + row[j + 1:] for row in m[1:]])
-        terms.append(-term if j % 2 else term)
-    return reduce(add, terms)
+    terms = [e * det([row[:j] + row[j + 1:] for row in m[1:]])
+             for j, e in enumerate(m[0])]
+    return reduce(operator.add, [-t if j % 2 else t for j, t in enumerate(terms)])
 
 
 def adjugate(m, one):
@@ -291,12 +292,10 @@ def adjugate(m, one):
     d = len(m)
     if d == 1:
         return [[one]]
-    adj = [[None] * d for _ in range(d)]
-    for i in range(d):
-        for j in range(d):
-            cof = det([row[:j] + row[j + 1:] for r, row in enumerate(m) if r != i])
-            adj[j][i] = -cof if (i + j) % 2 else cof
-    return adj
+    cof = [[det([row[:j] + row[j + 1:] for r, row in enumerate(m) if r != i])
+            for j in range(d)] for i in range(d)]
+    return [[-cof[i][j] if (i + j) % 2 else cof[i][j] for i in range(d)]
+            for j in range(d)]
 
 
 def row_reduce(rows, F):

@@ -189,3 +189,27 @@ def test_nabla_cell_composite_p_refused(tmp_path, p):
     assert code == 1
     report = json.loads(text)
     assert report["error"] == "NotPrime" and not report["pass"]
+
+
+@pytest.mark.parametrize("command", ["bm-identity", "validate-bounds"])
+def test_wrong_weight_count_refused(tmp_path, command):
+    cfg = {"field": {"p": 5, "e": 2, "f": 1}, "mu": [[2, 0]]}
+    code, text = run_cli(tmp_path, command, cfg)
+    assert code == 1
+    report = json.loads(text)
+    assert report["error"] == "InvalidWeight" and not report["pass"]
+    assert "one weight per embedding" in report["message"]
+
+
+@pytest.mark.parametrize(
+    "command, config",
+    [("hilbert-defect", {"mu_list": [[2, 0]], "n_max": -1}),
+     ("hilbert-defect", {"mu_list": [[2, 0]], "n_max": 0}),
+     ("nabla-cell", {"lambda": [3, 0], "e": 0, "p": 5}),
+     ("nabla-cell", {"lambda": [3, 0], "e": -1, "p": 5})],
+)
+def test_vacuous_check_refused(tmp_path, command, config):
+    code, text = run_cli(tmp_path, command, config)
+    assert code == 1
+    report = json.loads(text)
+    assert report["error"] == "BoundViolated" and not report["pass"]

@@ -226,6 +226,14 @@ def test_nabla_cell_refusals():
         nabla_cell_dimension((2, 1, 0), 2, 5)
 
 
+@pytest.mark.parametrize("e", [0, -1])
+def test_nabla_cell_needs_positive_e(e):
+    # e < 1 would constrain nothing and report a dimension
+    for count in (nabla_cell_dimension, nabla_cell_dimension_bruteforce):
+        with pytest.raises(BoundViolated):
+            count((3, 0), e, 5)
+
+
 def test_nabla_check_examples():
     base = special_base(5, 2)
     S = Lattice.standard(base, 2)

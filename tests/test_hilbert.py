@@ -5,7 +5,7 @@ import random
 import pytest
 
 from bmlocal.characters import decompose, weyl_character
-from bmlocal.errors import WindowTooShort
+from bmlocal.errors import BoundViolated, WindowTooShort
 from bmlocal.hilbert import (
     DefectSeries,
     defect_degree,
@@ -94,3 +94,11 @@ def test_window_too_short():
     s = DefectSeries(values=((1, 1), (2, 4)), claimed_degree_bound=1)
     with pytest.raises(WindowTooShort):
         s.finite_difference_degree()
+
+
+@pytest.mark.parametrize("n_max", [0, -1])
+def test_shifted_identity_needs_some_n(n_max):
+    mu_list = [(2, 0)]
+    mult = true_multiplicities(mu_list)
+    with pytest.raises(BoundViolated):
+        shifted_identity_check(mu_list, mult, n_max)

@@ -91,3 +91,31 @@ def test_rebase_round_trip():
     back = mono.rebase(pi)
     diff = poly - back
     assert all(c.is_zero_to_precision() for c in diff.coeffs)
+
+
+def _coords_and_prec(x):
+    return x.coords, x.prec
+
+
+@pytest.mark.parametrize("p, e", [(5, 2), (7, 3)])
+@pytest.mark.parametrize("k", range(6))
+def test_power_is_the_k_fold_product(p, e, k):
+    ctx = TameFieldContext(p, e, prec=40)
+    pi_t, pi_o = ctx.pi_conjugate(0), ctx.pi_conjugate(1)
+    # a negative valuation makes every factor change the precision
+    x = (pi_t - pi_o).inverse() + ctx.from_rational(Fraction(3, 2))
+    lin = LocalPoly(ctx, [pi_t - pi_o, ctx.one()], center=pi_t)
+    for base, one in [(x, ctx.one()), (lin, LocalPoly.one(ctx, center=pi_t))]:
+        want = one
+        for _ in range(k):
+            want = want * base
+        got = base ** k
+        if isinstance(base, LocalPoly):
+            assert got.center is want.center
+            got, want = got.coeffs, want.coeffs
+            assert len(got) == len(want)
+        else:
+            got, want = [got], [want]
+        assert [_coords_and_prec(c) for c in got] == [
+            _coords_and_prec(c) for c in want
+        ]

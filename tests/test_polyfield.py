@@ -1,9 +1,12 @@
 """The shared matrix layer: det, adjugate and mat_mul over Poly and
-TruncSeries entries, and row_reduce over Q and F_p, each against the
-separate implementations it replaced, kept here as references."""
+TruncSeries entries, row_reduce over Q and F_p, and the integer-form Poly
+itself, each against the separate implementations it replaced, kept here
+as references."""
 
 from fractions import Fraction
+from math import gcd
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -154,6 +157,167 @@ def _reference_solve(M, rhs):
                 A[i] = [x - fct * y for x, y in zip(A[i], A[r])]
         r += 1
     return [A[i][n] for i in range(n)]
+
+
+class _ReferencePoly:
+    """The adapter-based Poly that the integer form replaced: one field
+    adapter call per coefficient operation; coefficients low-to-high."""
+
+    __slots__ = ("field", "coeffs")
+
+    def __init__(self, field, coeffs):
+        cs = [field.of(c) if not _ref_is_elem(field, c) else c for c in coeffs]
+        while cs and field.is_zero(cs[-1]):
+            cs.pop()
+        self.field = field
+        self.coeffs = tuple(cs)
+
+    @classmethod
+    def of(cls, field, ints) -> "_ReferencePoly":
+        return cls(field, [field.of(x) for x in ints])
+
+    @classmethod
+    def x_minus(cls, field, c) -> "_ReferencePoly":
+        """The polynomial u - c."""
+        return cls(field, [field.neg(field.of(c)), field.one])
+
+    @classmethod
+    def zero(cls, field) -> "_ReferencePoly":
+        return cls(field, [])
+
+    @classmethod
+    def one(cls, field) -> "_ReferencePoly":
+        return cls(field, [field.one])
+
+    def degree(self) -> int:
+        return len(self.coeffs) - 1
+
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, _ReferencePoly)
+            and self.field == other.field
+            and self.coeffs == other.coeffs
+        )
+
+    def __hash__(self):
+        return hash((self.field.name, self.coeffs))
+
+    def __repr__(self):
+        if self.is_zero():
+            return "Poly(0)"
+        return "Poly(" + " + ".join(
+            f"{c}*u^{i}" for i, c in enumerate(self.coeffs)
+            if not self.field.is_zero(c)
+        ) + ")"
+
+    def __add__(self, other: "_ReferencePoly") -> "_ReferencePoly":
+        F = self.field
+        n = max(len(self.coeffs), len(other.coeffs))
+        a = list(self.coeffs) + [F.zero] * (n - len(self.coeffs))
+        b = list(other.coeffs) + [F.zero] * (n - len(other.coeffs))
+        return _ReferencePoly(F, [F.add(x, y) for x, y in zip(a, b)])
+
+    def __neg__(self) -> "_ReferencePoly":
+        F = self.field
+        return _ReferencePoly(F, [F.neg(c) for c in self.coeffs])
+
+    def __sub__(self, other: "_ReferencePoly") -> "_ReferencePoly":
+        return self + (-other)
+
+    def __mul__(self, other: "_ReferencePoly") -> "_ReferencePoly":
+        F = self.field
+        if self.is_zero() or other.is_zero():
+            return _ReferencePoly.zero(F)
+        out = [F.zero] * (len(self.coeffs) + len(other.coeffs) - 1)
+        for i, a in enumerate(self.coeffs):
+            if F.is_zero(a):
+                continue
+            for j, b in enumerate(other.coeffs):
+                out[i + j] = F.add(out[i + j], F.mul(a, b))
+        return _ReferencePoly(F, out)
+
+    def __pow__(self, k: int) -> "_ReferencePoly":
+        out = _ReferencePoly.one(self.field)
+        for _ in range(k):
+            out = out * self
+        return out
+
+    def scale(self, c) -> "_ReferencePoly":
+        F = self.field
+        c = F.of(c) if not _ref_is_elem(F, c) else c
+        return _ReferencePoly(F, [F.mul(a, c) for a in self.coeffs])
+
+    def shift(self, k: int) -> "_ReferencePoly":
+        """Multiply by u^k."""
+        if self.is_zero():
+            return self
+        F = self.field
+        return _ReferencePoly(F, [F.zero] * k + list(self.coeffs))
+
+    def deriv(self) -> "_ReferencePoly":
+        F = self.field
+        return _ReferencePoly(
+            F,
+            [F.mul(F.of(i), c) for i, c in enumerate(self.coeffs)][1:],
+        )
+
+    def eval(self, c):
+        F = self.field
+        c = F.of(c) if not _ref_is_elem(F, c) else c
+        acc = F.zero
+        for coeff in reversed(self.coeffs):
+            acc = F.add(F.mul(acc, c), coeff)
+        return acc
+
+    def divmod(self, other: "_ReferencePoly"):
+        F = self.field
+        if other.is_zero():
+            raise ZeroDivisionError("polynomial division by zero")
+        q = [F.zero] * max(0, len(self.coeffs) - len(other.coeffs) + 1)
+        r = list(self.coeffs)
+        dlead = other.coeffs[-1]
+        dinv = F.inv(dlead)
+        dd = other.degree()
+        while len(r) - 1 >= dd and r:
+            lead = r[-1]
+            if F.is_zero(lead):
+                r.pop()
+                continue
+            k = len(r) - 1 - dd
+            factor = F.mul(lead, dinv)
+            q[k] = factor
+            for i, c in enumerate(other.coeffs):
+                r[k + i] = F.sub(r[k + i], F.mul(factor, c))
+            r.pop()
+        return _ReferencePoly(F, q), _ReferencePoly(F, r)
+
+    def divide_exact(self, other: "_ReferencePoly") -> "_ReferencePoly":
+        q, r = self.divmod(other)
+        if not r.is_zero():
+            raise ValueError("division not exact")
+        return q
+
+    def root_multiplicity(self, c) -> int:
+        """Order of vanishing at u = c (0 if c is not a root)."""
+        if self.is_zero():
+            raise ValueError("zero polynomial has infinite multiplicity")
+        F = self.field
+        mult = 0
+        poly = self
+        lin = _ReferencePoly.x_minus(F, c)
+        while F.is_zero(poly.eval(c)):
+            poly = poly.divide_exact(lin)
+            mult += 1
+        return mult
+
+
+def _ref_is_elem(field, c):
+    if isinstance(field, GFp):
+        return isinstance(c, int) and 0 <= c < field.p
+    return isinstance(c, Fraction)
 
 
 # -- strategies --------------------------------------------------------------
@@ -340,3 +504,151 @@ def test_row_reduce_over_gf_p_is_the_reduced_echelon_form(case):
         for r, c in zip(reduced, pivots):
             combo = [(x + row[c] * y) % p for x, y in zip(combo, r)]
         assert combo == [x % p for x in row]
+
+
+# -- Poly against the adapter-based reference ----------------------------------
+
+POLY_FIELDS = [GFp(2), GFp(3), GFp(7), GFp(2**31 - 1), QQ]
+
+
+def _field_elements(F, unreduced=False):
+    """Coefficients of F; over GF(p) optionally ints outside [0, p)."""
+    if F is QQ:
+        return st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
+    if unreduced:
+        return st.integers(-3 * F.p, 3 * F.p)
+    return st.integers(0, F.p - 1)
+
+
+@st.composite
+def poly_pairs(draw, count=2, max_len=6):
+    """A field and ``count`` coefficient lists, some with trailing zeros."""
+    F = draw(st.sampled_from(POLY_FIELDS))
+    coeff = _field_elements(F, unreduced=True)
+    return F, [draw(st.lists(coeff, max_size=max_len)) for _ in range(count)]
+
+
+def _new_and_ref(F, cs):
+    return Poly(F, cs), _ReferencePoly(F, cs)
+
+
+def _assert_same(new, ref):
+    assert isinstance(new, Poly) and new.field == ref.field
+    assert new.coeffs == ref.coeffs
+    assert type(new.coeffs) is tuple
+    _assert_integer_form(new)
+
+
+def _assert_integer_form(f):
+    assert all(type(x) is int for x in f.nums) and type(f.den) is int
+    assert not f.nums or f.nums[-1] != 0
+    if f.field is QQ:
+        assert f.den > 0
+        assert gcd(f.den, *f.nums) == 1
+        if not f.nums:
+            assert f.den == 1
+    else:
+        assert f.den == 1
+        assert all(0 <= x < f.field.p for x in f.nums)
+
+
+@given(poly_pairs(), st.integers(0, 4), st.data())
+@settings(max_examples=300, deadline=None)
+def test_poly_ring_operations_match_reference(case, k, data):
+    F, (ca, cb) = case
+    a, ra = _new_and_ref(F, ca)
+    b, rb = _new_and_ref(F, cb)
+    _assert_same(a, ra)
+    _assert_same(a + b, ra + rb)
+    _assert_same(a - b, ra - rb)
+    _assert_same(-a, -ra)
+    _assert_same(a * b, ra * rb)
+    _assert_same(a ** k, ra ** k)
+    _assert_same(a.shift(k), ra.shift(k))
+    _assert_same(a.deriv(), ra.deriv())
+    c = data.draw(_field_elements(F, unreduced=True))
+    _assert_same(a.scale(c), ra.scale(c))
+    assert a.eval(c) == ra.eval(c)
+    assert type(a.eval(c)) is type(ra.eval(c))
+    assert a.degree() == ra.degree() and a.is_zero() == ra.is_zero()
+    assert (a == b) == (ra == rb)
+    assert hash(a) == hash(ra)
+    assert repr(a) == repr(ra)
+
+
+@given(poly_pairs())
+@settings(max_examples=300, deadline=None)
+def test_poly_divmod_matches_reference(case):
+    F, (ca, cb) = case
+    a, ra = _new_and_ref(F, ca)
+    b, rb = _new_and_ref(F, cb)
+    if b.is_zero():
+        with pytest.raises(ZeroDivisionError):
+            a.divmod(b)
+        return
+    (q, r), (rq, rr) = a.divmod(b), ra.divmod(rb)
+    _assert_same(q, rq)
+    _assert_same(r, rr)
+    _assert_same((a * b).divide_exact(b), (ra * rb).divide_exact(rb))
+    if not r.is_zero():
+        with pytest.raises(ValueError):
+            a.divide_exact(b)
+
+
+@st.composite
+def root_cases(draw):
+    """(F, c, coefficients of f, k) with f = (b u - a)^k * g for c = a / b
+    (b > 1 on most Q cases), or a random f and c (usually not a root)."""
+    F = draw(st.sampled_from(POLY_FIELDS))
+    g = draw(st.lists(_field_elements(F), min_size=1, max_size=5))
+    if F is QQ:
+        b = draw(st.integers(1, 6))
+        a = draw(st.integers(-12, 12).filter(lambda x: gcd(x, b) == 1))
+        c = Fraction(a, b)
+        lin = [-a, b]
+    else:
+        c = draw(st.integers(0, F.p - 1))
+        lin = [-c, 1]
+    k = draw(st.integers(0, 4))
+    return F, c, lin, g, k
+
+
+@given(root_cases())
+@settings(max_examples=300, deadline=None)
+def test_poly_root_multiplicity_matches_reference(case):
+    F, c, lin, g, k = case
+    g, rg = _new_and_ref(F, g)
+    lin, rlin = _new_and_ref(F, lin)
+    f, rf = g * lin ** k, rg * rlin ** k
+    if f.is_zero():
+        for poly in (f, rf):
+            with pytest.raises(ValueError):
+                poly.root_multiplicity(c)
+        return
+    assert f.root_multiplicity(c) == rf.root_multiplicity(c) >= k
+    # a rational or residue that is (usually) not a root
+    other = c + 1 if F is QQ else (c + 1) % F.p
+    assert f.root_multiplicity(other) == rf.root_multiplicity(other)
+
+
+def test_poly_root_multiplicity_non_integral_roots():
+    u = Poly(QQ, [0, 1])
+    f = (u.scale(3) - Poly.one(QQ).scale(2)) ** 3 * (u.scale(5) + Poly.one(QQ))
+    assert f.root_multiplicity(Fraction(2, 3)) == 3
+    assert f.root_multiplicity(Fraction(-1, 5)) == 1
+    assert f.root_multiplicity(Fraction(3, 2)) == 0
+    assert f.root_multiplicity(2) == 0
+    assert f.scale(Fraction(7, 4)).root_multiplicity(Fraction(2, 3)) == 3
+
+
+def test_poly_integer_form_on_q():
+    f = Poly(QQ, [Fraction(1, 2), Fraction(-3, 4), 0])
+    assert (f.nums, f.den) == ((2, -3), 4)
+    assert f.coeffs == (Fraction(1, 2), Fraction(-3, 4))
+    assert all(type(c) is Fraction for c in f.coeffs)
+    zero = f - f
+    assert (zero.nums, zero.den) == ((), 1)
+    assert zero == Poly.zero(QQ) and hash(zero) == hash(Poly.zero(QQ))
+    g = f.scale(Fraction(-4, 6))
+    assert (g.nums, g.den) == ((-2, 3), 6)  # -1/3 + u/2
+    assert Poly(GFp(5), [7, -1, 10]).nums == (2, 4)
