@@ -13,6 +13,7 @@ the computation refuses.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from itertools import product as iproduct
 
 from .characters import tensor_multiplicities
@@ -20,9 +21,9 @@ from .errors import BoundViolated, IrregularHodgeType
 from .weights import (
     EmbeddingData,
     HodgeType,
-    dominance_leq,
-    is_dominant,
-    rho,
+    as_weight,
+    dominant_weight,
+    minus_rho,
     tilde_lift,
     validate_hodge_bound,
 )
@@ -46,17 +47,14 @@ class SerreTuple:
 
     @classmethod
     def from_dict(cls, comp: dict, emb: EmbeddingData) -> "SerreTuple":
-        items = tuple(
-            (k0, tuple(int(x) for x in comp[k0])) for k0 in emb.residue_embeddings
-        )
+        items = tuple((k0, as_weight(comp[k0])) for k0 in emb.residue_embeddings)
         st = cls(components=items, p=emb.p)
         st.validate()
         return st
 
     def validate(self):
         for _, w in self.components:
-            if not is_dominant(w):
-                raise ValueError(f"{w} is not dominant")
+            w = dominant_weight(w)
             if w[0] - w[-1] > self.p - 1:
                 raise ValueError(f"{w} has gap > p - 1")
 
@@ -77,45 +75,37 @@ class BMIdentity:
     steinberg_flags: tuple
 
 
-def _sum_mu_minus_rho(mu: HodgeType, k0) -> tuple:
-    r = rho(mu.d)
-    total = [0] * mu.d
-    for w in mu.weights_above(k0):
-        for i in range(mu.d):
-            total[i] += w[i] - r[i]
-    return tuple(total)
+def _mu_minus_rho_above(mu: HodgeType, k0) -> list:
+    """mu_k - rho for the embeddings k above k0; InvalidWeight unless each
+    is dominant."""
+    return [dominant_weight(minus_rho(w)) for w in mu.weights_above(k0)]
 
 
 def _dominant_weights_below(bound: tuple) -> list:
-    """All dominant weights with the same total as ``bound`` lying below it."""
-    d = len(bound)
-    total = sum(bound)
+    """All dominant weights with the same total as ``bound`` lying below it
+    in dominance order, lexicographically decreasing.
+
+    Entry i runs down from the least of entry i - 1 (weakly decreasing)
+    and bound's i-th partial sum minus the prefix sum (dominated), to the
+    least value that lets the d - i entries from i on, each at most it,
+    reach the total.
+    """
+    d, total = len(bound), sum(bound)
+    partial = list(accumulate(bound))
     out = []
 
-    def rec(prefix, remaining):
+    def rec(prefix, s):
         i = len(prefix)
-        if i == d - 1:
-            last = remaining
-            if prefix and last > prefix[-1]:
-                return
-            w = prefix + (last,)
-            if dominance_leq(w, bound):
-                out.append(w)
+        if i == d:
+            out.append(prefix)
             return
-        # entries are weakly decreasing; partial sums must not exceed bound's
-        partial_bound = sum(bound[: i + 1])
-        prior = sum(prefix)
-        hi = prefix[-1] if prefix else partial_bound
-        for x in range(hi, -(10**9), -1):
-            if prior + x > partial_bound:
-                continue
-            # remaining entries are each <= x, so need remaining - x <= x*(d-i-1)
-            if remaining - x > x * (d - i - 1):
-                break
-            rec(prefix + (x,), remaining - x)
+        hi = min(prefix[-1], partial[i] - s) if prefix else partial[i]
+        lo = -((s - total) // (d - i))  # ceil((total - s) / (d - i))
+        for x in range(hi, lo - 1, -1):
+            rec(prefix + (x,), s + x)
 
-    rec((), total)
-    return sorted(out, reverse=True)
+    rec((), 0)
+    return out
 
 
 def candidate_support(mu: HodgeType) -> list:
@@ -123,23 +113,15 @@ def candidate_support(mu: HodgeType) -> list:
     nonzero multiplicity: same total as, and dominated by, the sum of
     mu_k - rho over the embeddings above each residue label."""
     emb = mu.embedding_data
-    r = rho(mu.d)
-    for k, w in mu.weights.items():
-        if not is_dominant(tuple(a - b for a, b in zip(w, r))):
-            raise ValueError(f"mu - rho not dominant at embedding {k}")
+    labels = emb.residue_embeddings
     per_residue = []
-    for k0 in emb.residue_embeddings:
-        per_residue.append(_dominant_weights_below(_sum_mu_minus_rho(mu, k0)))
-    tuples = []
-    for combo in iproduct(*per_residue):
-        comp = dict(zip(emb.residue_embeddings, combo))
-        tuples.append(
-            SerreTuple(
-                components=tuple((k0, comp[k0]) for k0 in emb.residue_embeddings),
-                p=emb.p,
-            )
-        )
-    return tuples
+    for k0 in labels:
+        total = tuple(map(sum, zip(*_mu_minus_rho_above(mu, k0))))
+        per_residue.append(_dominant_weights_below(total))
+    return [
+        SerreTuple(components=tuple(zip(labels, combo)), p=emb.p)
+        for combo in iproduct(*per_residue)
+    ]
 
 
 def bm_multiplicities(mu: HodgeType) -> dict:
@@ -149,16 +131,9 @@ def bm_multiplicities(mu: HodgeType) -> dict:
     report = validate_hodge_bound(mu, "natural")
     if not report["pass"]:
         raise BoundViolated(f"natural bound fails: {report['per_residue_sums']}")
-    r = rho(mu.d)
-    per_residue = []
-    for k0 in emb.residue_embeddings:
-        shifted = [
-            tuple(a - b for a, b in zip(w, r)) for w in mu.weights_above(k0)
-        ]
-        per_residue.append((k0, tensor_multiplicities(shifted)))
+    labels = emb.residue_embeddings
+    mults = [tensor_multiplicities(_mu_minus_rho_above(mu, k0)) for k0 in labels]
     result = {}
-    labels = [k0 for k0, _ in per_residue]
-    mults = [m for _, m in per_residue]
     for combo in iproduct(*(sorted(m) for m in mults)):
         m = 1
         for pick, table in zip(combo, mults):

@@ -22,7 +22,14 @@ from functools import lru_cache
 
 from .errors import InvalidWeight, NonTerminating, RankMismatch
 from .laurent import LaurentPoly, signed_orbit_sum
-from .weights import is_dominant, rho
+from .weights import (
+    as_weight,
+    dominant_weight,
+    is_dominant,
+    minus_rho,
+    plus_rho,
+    rho,
+)
 
 __all__ = [
     "Character",
@@ -65,21 +72,11 @@ class Character:
         return f"Character({self.poly!r})"
 
 
-def _dominant(w) -> tuple:
-    """w as a tuple of ints; InvalidWeight unless it is dominant."""
-    w = tuple(int(x) for x in w)
-    if not is_dominant(w):
-        raise InvalidWeight(f"{w} is not dominant")
-    return w
-
-
 @lru_cache(maxsize=None)
 def _weyl_character_poly(w: tuple) -> LaurentPoly:
     """A(w + rho) / A(rho) for a dominant w with w[-1] = 0: one entry per
     translation class of weights."""
-    r = rho(len(w))
-    numerator = signed_orbit_sum(tuple(a + b for a, b in zip(w, r)))
-    return numerator.divide(signed_orbit_sum(r))
+    return signed_orbit_sum(plus_rho(w)).divide(signed_orbit_sum(rho(len(w))))
 
 
 def _character_poly(w: tuple) -> LaurentPoly:
@@ -91,12 +88,12 @@ def _character_poly(w: tuple) -> LaurentPoly:
 
 def weyl_character(w) -> Character:
     """ch H0(w) = A(w + rho) / A(rho) for dominant w, as an exact quotient."""
-    return Character(_character_poly(_dominant(w)), check=False)
+    return Character(_character_poly(dominant_weight(w)), check=False)
 
 
 def weyl_dim(w) -> int:
     """dim H0(w) for dominant w via the product formula."""
-    return generalized_weyl_dim(_dominant(w))
+    return generalized_weyl_dim(dominant_weight(w))
 
 
 def generalized_weyl_dim(v) -> int:
@@ -108,7 +105,7 @@ def generalized_weyl_dim(v) -> int:
     the w sorting v + rho.  This is what lets dimension bookkeeping pass
     through non-dominant shifts without special-casing.
     """
-    v = tuple(int(x) for x in v)
+    v = as_weight(v)
     d = len(v)
     num = den = 1
     for i in range(d):
@@ -137,11 +134,8 @@ def _read_off(alternating: LaurentPoly) -> dict:
     if not alternating.is_antisymmetric():
         raise NonTerminating("character times A(rho) not antisymmetric: "
                              "input not symmetric")
-    r = rho(alternating.rank)
     return {
-        tuple(a - b for a, b in zip(v, r)): m
-        for v, m in alternating.terms.items()
-        if is_dominant(v)
+        minus_rho(v): m for v, m in alternating.terms.items() if is_dominant(v)
     }
 
 
@@ -162,18 +156,15 @@ def tensor_multiplicities(weights) -> dict:
     with the widest spread enters as A(w + rho), so its character is
     never divided out.
     """
-    ws = [tuple(int(x) for x in w) for w in weights]
+    ws = [as_weight(w) for w in weights]
     if not ws:
         raise InvalidWeight("need at least one weight")
     if len({len(w) for w in ws}) > 1:
         raise RankMismatch(f"weights of lengths {sorted({len(w) for w in ws})}")
-    r = rho(len(ws[0]))
-    for w in ws:
-        if not is_dominant(w):
-            raise InvalidWeight(f"{w} is not dominant")
+    ws = [dominant_weight(w) for w in ws]
     top = max(ws, key=lambda w: w[0] - w[-1])
     ws.remove(top)
-    product = signed_orbit_sum(tuple(a + b for a, b in zip(top, r)))
+    product = signed_orbit_sum(plus_rho(top))
     for w in ws:
         product = product * _character_poly(w)
     return _read_off(product)

@@ -47,8 +47,9 @@ from .series import LaurentSeriesMatrix, TruncSeries
 from .weights import (
     EmbeddingData,
     HodgeType,
+    as_weight,
     dual_weight,
-    rho,
+    minus_rho,
     validate_hodge_bound,
 )
 
@@ -81,11 +82,10 @@ def _field_from_config(config: dict) -> tuple[int, int, int]:
 
 def _hodge_from_config(config: dict) -> HodgeType:
     emb = EmbeddingData.standard(*_field_from_config(config))
-    mus = [tuple(int(x) for x in w) for w in config["mu"]]
+    mus = config["mu"]
     if len(mus) != len(emb.embeddings):
         raise InvalidWeight("need one weight per embedding (f*e of them)")
-    weights = dict(zip(emb.embeddings, mus))
-    return HodgeType(weights=weights, embedding_data=emb)
+    return HodgeType(weights=dict(zip(emb.embeddings, mus)), embedding_data=emb)
 
 
 def _st_key(st) -> str:
@@ -97,7 +97,7 @@ def _st_key(st) -> str:
 def _dimension_identity_holds(mu: HodgeType, terms) -> bool:
     """prod_k dim H0(mu_k - rho) = sum_terms m * prod_k0 dim H0(lam_k0), both
     sides by the Weyl product formula, not by the character read-off."""
-    lhs = prod(weyl_dim(w) for w in _minus_rho(mu.weights.values()))
+    lhs = prod(weyl_dim(minus_rho(w)) for w in mu.weights.values())
     rhs = sum(m * prod(weyl_dim(w) for w in st.weights()) for st, m, _ in terms)
     return lhs == rhs
 
@@ -140,16 +140,11 @@ def cmd_decompose(config: dict) -> dict:
     }
 
 
-def _minus_rho(mu_list) -> list:
-    """Each weight shifted by rho of its own length."""
-    return [tuple(a - b for a, b in zip(w, rho(len(w)))) for w in mu_list]
-
-
 def cmd_hilbert_defect(config: dict) -> dict:
     _known_keys(config, {"mu_list", "n_max", "task", "seed"})
-    mu_list = [tuple(int(x) for x in w) for w in config["mu_list"]]
+    mu_list = [as_weight(w) for w in config["mu_list"]]
     n_max = int(config.get("n_max", 8))
-    mult = tensor_multiplicities(_minus_rho(mu_list))
+    mult = tensor_multiplicities([minus_rho(w) for w in mu_list])
     shifted_ok, first_fail = shifted_identity_check(mu_list, mult, n_max)
     series, degree, degree_ok = defect_degree(mu_list, mult)
     forcing_ok = all(
@@ -178,7 +173,7 @@ def cmd_hilbert_defect(config: dict) -> dict:
 
 def cmd_nabla_cell(config: dict) -> dict:
     _known_keys(config, {"lambda", "e", "p", "task", "seed"})
-    lam = tuple(int(x) for x in config["lambda"])
+    lam = as_weight(config["lambda"])
     e, p = int(config["e"]), int(config["p"])
     cell = nabla_cell_dimension(lam, e, p)
     brute = nabla_cell_dimension_bruteforce(lam, e, p)
@@ -294,7 +289,7 @@ def _suite_hilbert(rng) -> dict:
     ok = True
     for _ in range(20):
         mu_list = _random_mu_list(rng)
-        mult = tensor_multiplicities(_minus_rho(mu_list))
+        mult = tensor_multiplicities([minus_rho(w) for w in mu_list])
         shifted_ok, _ = shifted_identity_check(mu_list, mult, 8)
         _, _, degree_ok = defect_degree(mu_list, mult)
         forcing_ok = all(

@@ -49,7 +49,7 @@ from .polyfield import (
     row_reduce,
 )
 from .primes import require_prime
-from .weights import dual_weight
+from .weights import as_weight, dominant_weight
 
 __all__ = [
     "BaseRing",
@@ -384,15 +384,14 @@ def nabla_cell_dimension(lam, e: int, p: int) -> NablaCell:
     The cell coordinate is the single below-diagonal entry a(u) of degree
     < lam_1 - lam_2; the condition forces k * a_k = 0 over F_p for
     1 <= k <= lam_1 - lam_2 - e.  Requires lam_1 - lam_2 <= e + p - 1 and
-    e >= 1 (BoundViolated otherwise), and p prime (NotPrime otherwise).
+    e >= 1 (BoundViolated otherwise), p prime (NotPrime otherwise), and
+    lam a dominant integer weight (InvalidWeight otherwise).
     """
     require_prime(p)
     _require_positive_e(e)
-    lam = tuple(int(x) for x in lam)
+    lam = dominant_weight(lam)
     if len(lam) != 2:
         raise UnsupportedRank("cell dimensions are implemented for d = 2")
-    if lam[0] < lam[1]:
-        raise ValueError("lam must be dominant")
     gap = lam[0] - lam[1]
     if gap > e + p - 1:
         raise BoundViolated(f"gap {gap} exceeds e + p - 1 = {e + p - 1}")
@@ -410,7 +409,7 @@ def nabla_cell_dimension_bruteforce(lam, e: int, p: int) -> int:
     """Independent check: build the full F_p constraint matrix on the
     coefficients of a(u) and compute its kernel dimension."""
     _require_positive_e(e)
-    lam = tuple(int(x) for x in lam)
+    lam = dominant_weight(lam)
     if len(lam) != 2:
         raise UnsupportedRank("cell dimensions are implemented for d = 2")
     gap = lam[0] - lam[1]
@@ -453,7 +452,7 @@ def filtration_to_lattice(base: BaseRing, mu_weights, fils, n=None) -> Lattice:
     e = len(base.places)
     if len(mu_weights) != e or len(fils) != e:
         raise FiltrationTypeMismatch("need one weight and one filtration per place")
-    mu_weights = [tuple(int(x) for x in w) for w in mu_weights]
+    mu_weights = [as_weight(w) for w in mu_weights]
     for w in mu_weights:
         if len(w) != 2:
             raise UnsupportedRank("filtration model implemented for d = 2")

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from .characters import generalized_weyl_dim
 from .errors import BoundViolated, WindowTooShort
-from .weights import flag_dim, rho
+from .weights import as_weight, flag_dim, minus_rho, plus_rho, rho
 
 __all__ = [
     "DefectSeries",
@@ -63,11 +63,9 @@ def dim_product(mu_list, n: int, shift: str = "none") -> int:
         raise ValueError(f"unknown shift {shift!r}")
     out = 1
     for mu in mu_list:
-        mu = tuple(int(x) for x in mu)
-        v = tuple(n * x for x in mu)
+        v = tuple(n * x for x in as_weight(mu))
         if shift == "minus_rho":
-            r = rho(len(mu))
-            v = tuple(a - b for a, b in zip(v, r))
+            v = minus_rho(v)
         out *= generalized_weyl_dim(v)
     return out
 
@@ -78,8 +76,7 @@ def _rhs(mu_list, mult: dict, n: int, shift: str) -> int:
     r = rho(d)
     total = 0
     for lam, m in mult.items():
-        lam = tuple(int(x) for x in lam)
-        lam_rho = tuple(a + b for a, b in zip(lam, r))
+        lam_rho = plus_rho(as_weight(lam))
         total += (
             m
             * dim_product([lam_rho], n, shift)
@@ -149,7 +146,7 @@ def equality_forcing_check(mu_list, mult: dict, overcount: dict, n_range=None) -
         raise ValueError("overcount entries must be >= 0")
     inflated = dict(mult)
     for lam, extra in overcount.items():
-        lam = tuple(int(x) for x in lam)
+        lam = as_weight(lam)
         inflated[lam] = inflated.get(lam, 0) + extra
     series = _defect_series(mu_list, inflated, n_range)
     return series.finite_difference_degree() >= series.claimed_degree_bound

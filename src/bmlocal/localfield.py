@@ -25,7 +25,7 @@ import operator
 from fractions import Fraction
 from functools import reduce
 
-from .errors import IndeterminateValuation, WildRamification
+from .errors import BoundViolated, IndeterminateValuation, WildRamification
 from .polyfield import QQ, Poly, row_reduce
 from .primes import require_prime
 
@@ -121,7 +121,7 @@ class TameFieldContext:
     def __init__(self, p: int, e: int, prec: int | None = None):
         require_prime(p)
         if e < 1:
-            raise ValueError("e must be >= 1")
+            raise BoundViolated(f"e = {e}: the ramification index must be >= 1")
         if math.gcd(p, e) != 1:
             raise WildRamification(
                 f"wildly ramified context requested: gcd({e}, {p}) != 1"
@@ -135,39 +135,22 @@ class TameFieldContext:
         self.pB = 4 * (self.N_prec // e + 2)
         phi = _euler_phi(e)
         if e == 1:
-            self._zeta_min_poly = [Fraction(-1), Fraction(1)]  # x - 1
+            self._zeta_min_poly = Poly.x_minus(QQ, 1)
         elif self.f_prime == phi:
-            self._zeta_min_poly = list(_cyclotomic(e).coeffs)
+            self._zeta_min_poly = _cyclotomic(e)
         elif self.f_prime == 1:
-            c = _hensel_root(e, p, self.pB)
-            self._zeta_min_poly = [Fraction(-c), Fraction(1)]
+            self._zeta_min_poly = Poly.x_minus(QQ, _hensel_root(e, p, self.pB))
         else:
-            raise NotImplementedError(
+            raise BoundViolated(
                 f"zeta_{e} generates an intermediate splitting pattern mod {p} "
                 f"(order {self.f_prime}, phi {phi}); not supported"
             )
-        self._zeta_powers = self._build_zeta_powers()
-
-    def _build_zeta_powers(self):
-        """zeta^t for t = 0..e+2f'-2, as coordinate vectors of length f'."""
+        # zeta^t for t < e + 2f', as coordinate vectors of length f'
         f = self.f_prime
-        g = self._zeta_min_poly  # monic of degree f
-        top = [-g[i] for i in range(f)]  # zeta^f = sum top[i] zeta^i
-        powers = [[Fraction(0)] * f for _ in range(self.e + 2 * f)]
-        powers[0][0] = Fraction(1)
-        for t in range(1, len(powers)):
-            prev = powers[t - 1]
-            cur = [Fraction(0)] * f
-            # multiply by zeta: shift, then reduce the overflow via top
-            overflow = prev[f - 1]
-            for i in range(f - 1, 0, -1):
-                cur[i] = prev[i - 1]
-            cur[0] = Fraction(0)
-            if overflow:
-                for i in range(f):
-                    cur[i] += overflow * top[i]
-            powers[t] = cur
-        return powers
+        self._zeta_powers = []
+        for t in range(e + 2 * f):
+            r = Poly.one(QQ).shift(t).divmod(self._zeta_min_poly)[1].coeffs
+            self._zeta_powers.append(list(r) + [Fraction(0)] * (f - len(r)))
 
     # -- element constructors ------------------------------------------
 

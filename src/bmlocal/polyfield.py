@@ -59,7 +59,14 @@ class GFp:
         self.one = 1 % p
 
     def of(self, x):
-        return int(x) % self.p
+        """x mod p: an int-like x reduced, a Fraction a/b as a * b^-1
+        (ZeroDivisionError when p divides b); TypeError for anything else,
+        floats included."""
+        if isinstance(x, Fraction):
+            if x.denominator % self.p == 0:
+                raise ZeroDivisionError(f"{x} has no residue mod {self.p}")
+            return x.numerator * pow(x.denominator, -1, self.p) % self.p
+        return operator.index(x) % self.p
 
     def add(self, a, b):
         return (a + b) % self.p
@@ -263,7 +270,7 @@ class Poly:
 def _ratio(field, c):
     """c = a / b as (a, b), b > 0: (c mod p, 1) or Q's lowest terms."""
     if field.p:
-        return int(c) % field.p, 1
+        return field.of(c), 1
     c = c if isinstance(c, (int, Fraction)) else Fraction(c)
     return c.numerator, c.denominator
 

@@ -1,21 +1,27 @@
 """Weights, dominance, rho-shifts, duality, Hodge types and bound checks.
 
-A weight is a plain tuple of d integers.  Embedding bookkeeping (which
-embeddings restrict to which residue embedding, and the distinguished
-lift of each) lives in :class:`EmbeddingData`; a Hodge type assigns a
-dominant weight to every embedding.
+A weight is a plain tuple of d integers: ``as_weight`` and
+``dominant_weight`` are the package's one parse and one dominance
+refusal, and ``plus_rho`` / ``minus_rho`` its one rho-shift.  Embedding
+labels are derived from (p, e, f) by :class:`EmbeddingData`; a Hodge
+type assigns a dominant weight to every embedding.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass
 
-from .errors import InvalidWeight
+from .errors import BoundViolated, InvalidWeight
 from .primes import require_prime
 
 __all__ = [
     "Weight",
+    "as_weight",
+    "dominant_weight",
     "rho",
+    "plus_rho",
+    "minus_rho",
     "is_dominant",
     "dominance_leq",
     "dual_weight",
@@ -30,7 +36,20 @@ Weight = tuple  # tuple of ints, length d
 
 
 def as_weight(entries) -> Weight:
-    return tuple(int(x) for x in entries)
+    """entries as a tuple of exact ints; InvalidWeight for an entry that is
+    not an integer (a float such as 1.5 or 2.0, a string), never truncated."""
+    try:
+        return tuple(map(operator.index, entries))
+    except TypeError:
+        raise InvalidWeight(f"{entries!r} is not a list of integers") from None
+
+
+def dominant_weight(entries) -> Weight:
+    """``as_weight(entries)``; InvalidWeight unless it is dominant."""
+    w = as_weight(entries)
+    if not is_dominant(w):
+        raise InvalidWeight(f"{w} is not dominant")
+    return w
 
 
 def rho(d: int) -> Weight:
@@ -38,6 +57,16 @@ def rho(d: int) -> Weight:
     if d < 1:
         raise ValueError("d must be >= 1")
     return tuple(range(d - 1, -1, -1))
+
+
+def plus_rho(w: Weight) -> Weight:
+    """w + rho(len(w))."""
+    return tuple(a + b for a, b in zip(w, rho(len(w))))
+
+
+def minus_rho(w: Weight) -> Weight:
+    """w - rho(len(w))."""
+    return tuple(a - b for a, b in zip(w, rho(len(w))))
 
 
 def is_dominant(w: Weight) -> bool:
@@ -74,50 +103,38 @@ def flag_dim(w: Weight) -> int:
 
 @dataclass(frozen=True)
 class EmbeddingData:
-    """Labels for the embeddings of a local field of degree e*f over Q_p.
+    """The embeddings of a local field of degree e*f over Q_p.
 
-    ``residue_embeddings`` lists the f residue-field embedding labels;
-    ``embeddings`` lists all e*f embedding labels; ``restriction`` maps
-    each embedding to the residue embedding it restricts to;
-    ``distinguished_lift`` picks one embedding above each residue label.
-    ``p`` must be prime (NotPrime otherwise).
+    The f residue embeddings are labelled 0, ..., f - 1; the e embeddings
+    above residue embedding i are (i, 0), ..., (i, e - 1), and (i, 0) is
+    its distinguished lift.  ``p`` must be prime (NotPrime otherwise), e
+    and f at least 1 (BoundViolated otherwise).
     """
 
     p: int
     e: int
     f: int
-    residue_embeddings: tuple = ()
-    embeddings: tuple = ()
-    restriction: dict = field(default_factory=dict)
-    distinguished_lift: dict = field(default_factory=dict)
 
     def __post_init__(self):
         require_prime(self.p)
-        if not self.residue_embeddings:
-            res = tuple(range(self.f))
-            embs = tuple((i, j) for i in range(self.f) for j in range(self.e))
-            object.__setattr__(self, "residue_embeddings", res)
-            object.__setattr__(self, "embeddings", embs)
-            object.__setattr__(self, "restriction", {k: k[0] for k in embs})
-            object.__setattr__(
-                self, "distinguished_lift", {i: (i, 0) for i in res}
-            )
-        self._validate()
+        if self.e < 1 or self.f < 1:
+            raise BoundViolated(f"e = {self.e}, f = {self.f}: both must be >= 1")
 
-    def _validate(self):
-        if len(self.embeddings) != self.e * self.f:
-            raise ValueError("expected e*f embedding labels")
-        for k0 in self.residue_embeddings:
-            above = [k for k in self.embeddings if self.restriction[k] == k0]
-            if len(above) != self.e:
-                raise ValueError(f"residue embedding {k0} has {len(above)} lifts")
-            lift = self.distinguished_lift[k0]
-            if self.restriction[lift] != k0:
-                raise ValueError("distinguished lift is not a section")
+    @property
+    def residue_embeddings(self) -> tuple:
+        return tuple(range(self.f))
 
-    def above(self, k0):
+    @property
+    def embeddings(self) -> tuple:
+        return tuple(k for k0 in self.residue_embeddings for k in self.above(k0))
+
+    @property
+    def distinguished_lift(self) -> dict:
+        return {k0: (k0, 0) for k0 in self.residue_embeddings}
+
+    def above(self, k0) -> tuple:
         """Embeddings restricting to the residue embedding k0, in label order."""
-        return tuple(k for k in self.embeddings if self.restriction[k] == k0)
+        return tuple((k0, j) for j in range(self.e))
 
     @classmethod
     def standard(cls, p: int, e: int, f: int) -> "EmbeddingData":
@@ -132,7 +149,7 @@ class HodgeType:
     embedding_data: EmbeddingData
 
     def __post_init__(self):
-        clean = {k: as_weight(w) for k, w in self.weights.items()}
+        clean = {k: dominant_weight(w) for k, w in self.weights.items()}
         object.__setattr__(self, "weights", clean)
         emb = self.embedding_data
         if set(clean) != set(emb.embeddings):
@@ -140,9 +157,6 @@ class HodgeType:
         lengths = {len(w) for w in clean.values()}
         if len(lengths) != 1:
             raise ValueError("all weights must share the same length d")
-        for k, w in clean.items():
-            if not is_dominant(w):
-                raise InvalidWeight(f"weight {w} at embedding {k} is not dominant")
 
     @property
     def d(self) -> int:
@@ -162,22 +176,16 @@ def tilde_lift(lam_tuple: dict, emb: EmbeddingData) -> HodgeType:
     Places lam + rho at the distinguished embedding above each residue
     label and rho at every other embedding.
     """
-    lam_tuple = {k0: as_weight(w) for k0, w in lam_tuple.items()}
+    lam_tuple = {k0: dominant_weight(w) for k0, w in lam_tuple.items()}
     if set(lam_tuple) != set(emb.residue_embeddings):
         raise ValueError("expected one weight per residue embedding")
-    for w in lam_tuple.values():
-        if not is_dominant(w):
-            raise ValueError(f"{w} is not dominant")
     d = len(next(iter(lam_tuple.values())))
     r = rho(d)
     weights = {}
     for k0 in emb.residue_embeddings:
         lifted = emb.distinguished_lift[k0]
         for k in emb.above(k0):
-            if k == lifted:
-                weights[k] = tuple(a + b for a, b in zip(lam_tuple[k0], r))
-            else:
-                weights[k] = r
+            weights[k] = plus_rho(lam_tuple[k0]) if k == lifted else r
     return HodgeType(weights=weights, embedding_data=emb)
 
 

@@ -1,16 +1,50 @@
 """Multiplicity identities: support, worked instance, bounds, lifts."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bmlocal.bm_mult import (
     SerreTuple,
+    _dominant_weights_below,
     bm_identity,
     bm_multiplicities,
     candidate_support,
     is_steinberg,
 )
 from bmlocal.errors import BoundViolated, IrregularHodgeType
-from bmlocal.weights import EmbeddingData, HodgeType, tilde_lift
+from bmlocal.weights import EmbeddingData, HodgeType, dominance_leq, tilde_lift
+
+
+def _dominant_weights_below_reference(bound: tuple) -> list:
+    """The scan-and-filter enumeration that the bounded one replaced; it
+    stops at -10**9, so it serves only for bounds near 0."""
+    d = len(bound)
+    total = sum(bound)
+    out = []
+
+    def rec(prefix, remaining):
+        i = len(prefix)
+        if i == d - 1:
+            last = remaining
+            if prefix and last > prefix[-1]:
+                return
+            w = prefix + (last,)
+            if dominance_leq(w, bound):
+                out.append(w)
+            return
+        partial_bound = sum(bound[: i + 1])
+        prior = sum(prefix)
+        hi = prefix[-1] if prefix else partial_bound
+        for x in range(hi, -(10**9), -1):
+            if prior + x > partial_bound:
+                continue
+            if remaining - x > x * (d - i - 1):
+                break
+            rec(prefix + (x,), remaining - x)
+
+    rec((), total)
+    return sorted(out, reverse=True)
 
 
 def _mu(p, e, f, weights_list):
@@ -90,3 +124,20 @@ def test_serre_tuple_gap_validation():
     emb = EmbeddingData.standard(3, 1, 1)
     with pytest.raises(ValueError):
         SerreTuple.from_dict({0: (5, 0)}, emb)  # gap 5 > p - 1 = 2
+
+
+@given(st.lists(st.integers(-4, 6), min_size=1, max_size=4))
+@settings(max_examples=300, deadline=None)
+def test_dominant_weights_below_matches_reference(bound):
+    bound = tuple(bound)
+    assert _dominant_weights_below(bound) == _dominant_weights_below_reference(
+        bound
+    )
+
+
+@pytest.mark.parametrize("c", [0, 10**9, -(10**9), -3 * 10**9, 10**12])
+def test_support_covers_translated_hodge_types(c):
+    mu = _mu(5, 2, 1, [(2 + c, c), (2 + c, c)])
+    mults = bm_multiplicities(mu)
+    assert len(mults) == 2
+    assert set(mults) <= set(candidate_support(mu))

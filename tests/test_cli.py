@@ -1,9 +1,13 @@
 """CLI behaviour: determinism, exit codes, config validation."""
 
 import dataclasses
+import io
 import json
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -213,3 +217,47 @@ def test_vacuous_check_refused(tmp_path, command, config):
     assert code == 1
     report = json.loads(text)
     assert report["error"] == "BoundViolated" and not report["pass"]
+
+
+@pytest.mark.parametrize(
+    "command, config",
+    [("decompose", {"weights": [[1.5, 0], [1, 0]]}),
+     ("hilbert-defect", {"mu_list": [[2, 0], [2.0, 0]]}),
+     ("bm-identity", dict(BM_CONFIG, mu=[[2, 0], [2.5, 0]])),
+     ("nabla-cell", {"lambda": [3.9, 0], "e": 2, "p": 5})],
+)
+def test_non_integer_weight_entry_rejected(tmp_path, command, config):
+    code, text = run_cli(tmp_path, command, config)
+    assert code == 1
+    report = json.loads(text)
+    assert report["error"] == "InvalidWeight" and not report["pass"]
+    assert "not a list of integers" in report["message"]
+
+
+@pytest.mark.parametrize(
+    "command, config",
+    [("bm-identity", {"field": {"p": 5, "e": 0, "f": 1}, "mu": []}),
+     ("bm-identity", {"field": {"p": 5, "e": 2, "f": 0}, "mu": []}),
+     ("interpolate", {"field": {"p": 2, "e": 7}, "m": [1, 2], "r": [1]}),
+     ("interpolate", {"field": {"p": 5, "e": 0}, "m": [1, 2], "r": [1]})],
+)
+def test_unsupported_field_refused(tmp_path, command, config):
+    code, text = run_cli(tmp_path, command, config)
+    assert code == 1
+    report = json.loads(text)
+    assert report["error"] == "BoundViolated" and not report["pass"]
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+EXAMPLE = re.compile(r"^echo '(?P<config>.*)' \| bmlocal (?P<argv>.*)$")
+
+
+def test_readme_examples_pass(monkeypatch, capsys):
+    examples = [m for line in README.read_text().splitlines()
+                if (m := EXAMPLE.match(line))]
+    assert len(examples) == 7
+    for m in examples:
+        monkeypatch.setattr(sys, "stdin", io.StringIO(m["config"]))
+        code = main(shlex.split(m["argv"]))
+        report = json.loads(capsys.readouterr().out)
+        assert code == 0 and report["pass"] is True, m.group(0)

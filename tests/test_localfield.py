@@ -5,7 +5,12 @@ from fractions import Fraction
 
 import pytest
 
-from bmlocal.errors import IndeterminateValuation, NotPrime, WildRamification
+from bmlocal.errors import (
+    BoundViolated,
+    IndeterminateValuation,
+    NotPrime,
+    WildRamification,
+)
 from bmlocal.localfield import TameFieldContext, lf_valuation
 
 
@@ -54,6 +59,36 @@ def test_pi_power_e_is_p_times_unit():
             pie = pie * ctx.pi()
         ratio = pie * ctx.from_rational(Fraction(1, p))
         assert ratio.valuation() == 0
+
+
+def _zeta_powers_reference(ctx):
+    """zeta^t for t < e + 2f' by the shift-and-reduce recurrence on the
+    minimal polynomial's coefficients, which the Poly remainders replaced."""
+    f = ctx.f_prime
+    g = ctx._zeta_min_poly.coeffs  # monic of degree f
+    top = [-g[i] for i in range(f)]  # zeta^f = sum top[i] zeta^i
+    powers = [[Fraction(0)] * f for _ in range(ctx.e + 2 * f)]
+    powers[0][0] = Fraction(1)
+    for t in range(1, len(powers)):
+        prev = powers[t - 1]
+        cur = [Fraction(0)] + prev[:-1]
+        if prev[f - 1]:
+            cur = [c + prev[f - 1] * x for c, x in zip(cur, top)]
+        powers[t] = cur
+    return powers
+
+
+def test_zeta_powers_match_reference():
+    built = 0
+    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
+        for e in range(1, 13):
+            try:
+                ctx = TameFieldContext(p, e)
+            except (BoundViolated, WildRamification):
+                continue
+            assert ctx._zeta_powers == _zeta_powers_reference(ctx), (p, e)
+            built += 1
+    assert built > 80
 
 
 def test_zeta_has_order_e():

@@ -6,6 +6,7 @@ as references."""
 from fractions import Fraction
 from math import gcd
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -652,3 +653,21 @@ def test_poly_integer_form_on_q():
     g = f.scale(Fraction(-4, 6))
     assert (g.nums, g.den) == ((-2, 3), 6)  # -1/3 + u/2
     assert Poly(GFp(5), [7, -1, 10]).nums == (2, 4)
+
+
+def test_gf_p_converts_exactly_or_refuses():
+    F = GFp(5)
+    half = Fraction(1, 2)
+    assert F.of(half) == 3 and F.of(Fraction(-7, 3)) == 1
+    assert Poly(F, [half]) == Poly(F, [3])
+    assert Poly.one(F).scale(half) == Poly(F, [3])
+    assert Poly(F, [np.int64(7)]).nums == (2,)
+    with pytest.raises(ZeroDivisionError):
+        F.of(Fraction(1, 5))
+    with pytest.raises(ZeroDivisionError):
+        Poly(F, [Fraction(2, 15)])
+    for bad in (2.7, 2.0, "2"):
+        with pytest.raises(TypeError):
+            Poly(F, [bad])
+        with pytest.raises(TypeError):
+            F.of(bad)

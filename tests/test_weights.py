@@ -2,16 +2,21 @@
 
 import itertools
 
+import numpy as np
 import pytest
 
-from bmlocal.errors import NotPrime
+from bmlocal.errors import BoundViolated, InvalidWeight, NotPrime
 from bmlocal.weights import (
     EmbeddingData,
     HodgeType,
+    as_weight,
     dominance_leq,
+    dominant_weight,
     dual_weight,
     flag_dim,
     is_dominant,
+    minus_rho,
+    plus_rho,
     rho,
     tilde_lift,
     validate_hodge_bound,
@@ -111,3 +116,40 @@ def test_validate_hodge_bound():
 def test_embedding_data_requires_prime():
     with pytest.raises(NotPrime):
         EmbeddingData.standard(6, 1, 1)
+
+
+def test_as_weight_takes_exact_integers_only():
+    assert as_weight([3, -1]) == (3, -1)
+    assert as_weight(np.array([2, 0])) == (2, 0)
+    assert all(type(x) is int for x in as_weight((np.int64(2), np.int32(0))))
+    assert as_weight([0, 2]) == (0, 2)  # no dominance required
+    for bad in ([1.5, 0], [2.0, 0], [np.float64(1), 0], ["1", 0], "10", 3):
+        with pytest.raises(InvalidWeight, match="not a list of integers"):
+            as_weight(bad)
+
+
+def test_dominant_weight_refuses_non_integers_and_non_dominant():
+    assert dominant_weight([2, 2, -1]) == (2, 2, -1)
+    assert dominant_weight(np.array([5, 1])) == (5, 1)
+    with pytest.raises(InvalidWeight, match="not dominant"):
+        dominant_weight([0, 1])
+    with pytest.raises(InvalidWeight, match="not a list of integers"):
+        dominant_weight([3.9, 0])
+    assert issubclass(InvalidWeight, ValueError)
+
+
+def test_rho_shifts():
+    assert plus_rho((2, 0)) == (3, 0)
+    assert minus_rho((3, 1, 0)) == (1, 0, 0)
+    assert minus_rho(plus_rho((4, 4, 2, -7))) == (4, 4, 2, -7)
+
+
+def test_embedding_labels_derive_from_e_and_f():
+    emb = EmbeddingData.standard(5, 2, 3)
+    assert emb.residue_embeddings == (0, 1, 2)
+    assert emb.above(1) == ((1, 0), (1, 1))
+    assert emb.embeddings == tuple((i, j) for i in range(3) for j in range(2))
+    assert emb.distinguished_lift == {0: (0, 0), 1: (1, 0), 2: (2, 0)}
+    for e, f in ((0, 1), (1, 0), (-1, 2)):
+        with pytest.raises(BoundViolated):
+            EmbeddingData.standard(5, e, f)
