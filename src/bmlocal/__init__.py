@@ -50,6 +50,7 @@ from .hilbert import (  # noqa: F401
     defect_degree,
     dim_product,
     equality_forcing_check,
+    overcount_detected,
     shifted_identity_check,
 )
 from .interpolation import (  # noqa: F401

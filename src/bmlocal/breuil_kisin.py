@@ -21,6 +21,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import (
+    BoundViolated,
     ConvergenceConditionViolated,
     IntegralityViolated,
     NonIntegralLimit,
@@ -40,13 +41,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class BKMatrix:
-    """An integral Frobenius matrix with E(u) = u^e and height bound h."""
+    """An integral Frobenius matrix with E(u) = u^e (e >= 1, BoundViolated
+    otherwise) and height bound h."""
 
     C: LaurentSeriesMatrix
     e: int
     h: int
 
     def __post_init__(self):
+        if self.e < 1:
+            raise BoundViolated(f"e = {self.e}: E(u) = u^e needs e >= 1")
         if not self.C.is_integral():
             raise ValueError("C must be integral")
 

@@ -11,17 +11,22 @@ The central identities are
 one product: ch * A(rho) = sum m(w) A(w + rho) is antisymmetric, and its
 coefficient at each strictly dominant exponent v is the multiplicity of
 v - rho.  This works for virtual characters as well (negative
-multiplicities permitted).  ``tensor_multiplicities`` reads a tensor
-product of Weyl characters the same way, starting from one A(w + rho)
-in place of A(rho) times ch H0(w).
+multiplicities permitted).  ``tensor_multiplicities`` uses the
+Brauer-Klimyk (Racah-Speiser) rule instead, with no Laurent product:
+for a symmetric ch = sum c(nu) e(nu), A(v) * ch = sum c(nu) A(v + nu),
+and A(x) is the sign of the permutation sorting x times A(sorted x), or
+zero when x has a repeated entry.  The ``characters`` suite and
+acceptance criterion 1 still decompose products by the read-off,
+independently of this rule.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import add
 
 from .errors import InvalidWeight, NonTerminating, RankMismatch
-from .laurent import LaurentPoly, signed_orbit_sum
+from .laurent import LaurentPoly, signed_orbit_sum, sorting_sign
 from .weights import (
     as_weight,
     dominant_weight,
@@ -79,16 +84,15 @@ def _weyl_character_poly(w: tuple) -> LaurentPoly:
     return signed_orbit_sum(plus_rho(w)).divide(signed_orbit_sum(rho(len(w))))
 
 
-def _character_poly(w: tuple) -> LaurentPoly:
-    """ch H0(w) = e(c, ..., c) ch H0(w - c (1, ..., 1)) for c = w[-1]."""
+def weyl_character(w) -> Character:
+    """ch H0(w) = A(w + rho) / A(rho) for dominant w, as an exact quotient:
+    e(c, ..., c) ch H0(w - c (1, ..., 1)) for c = w[-1]."""
+    w = dominant_weight(w)
     c = w[-1]
     poly = _weyl_character_poly(tuple(x - c for x in w))
-    return poly * LaurentPoly.monomial((c,) * len(w)) if c else poly
-
-
-def weyl_character(w) -> Character:
-    """ch H0(w) = A(w + rho) / A(rho) for dominant w, as an exact quotient."""
-    return Character(_character_poly(dominant_weight(w)), check=False)
+    if c:
+        poly = poly * LaurentPoly.monomial((c,) * len(w))
+    return Character(poly, check=False)
 
 
 def weyl_dim(w) -> int:
@@ -124,13 +128,15 @@ def scale_exponents(ch: Character, n: int) -> Character:
     return Character(ch.poly.scale_exponents(n), check=False)
 
 
-def _read_off(alternating: LaurentPoly) -> dict:
-    """Multiplicities m with alternating = sum m(w) A(w + rho), exactly.
+def decompose(ch: Character) -> dict:
+    """Multiplicities m with ch = sum m(w) * weyl_character(w), exactly.
 
-    Refuses (NonTerminating) a polynomial that is not antisymmetric.
-    Antisymmetry leaves no term on a wall, so its dominant exponents are
-    the strictly dominant ones.
+    Read off ch * A(rho); multiplicities may be negative for virtual
+    characters.  A non-symmetric input raises NonTerminating.
+    Antisymmetry leaves no term of the product on a wall, so its dominant
+    exponents are the strictly dominant ones.
     """
+    alternating = ch.poly * signed_orbit_sum(rho(ch.rank))
     if not alternating.is_antisymmetric():
         raise NonTerminating("character times A(rho) not antisymmetric: "
                              "input not symmetric")
@@ -139,22 +145,15 @@ def _read_off(alternating: LaurentPoly) -> dict:
     }
 
 
-def decompose(ch: Character) -> dict:
-    """Multiplicities m with ch = sum m(w) * weyl_character(w), exactly.
-
-    Read off ch * A(rho); multiplicities may be negative for virtual
-    characters.  A non-symmetric input raises NonTerminating.
-    """
-    return _read_off(ch.poly * signed_orbit_sum(rho(ch.rank)))
-
-
 def tensor_multiplicities(weights) -> dict:
     """Multiplicities of the Weyl characters in prod_i ch H0(w_i).
 
     The weights must be dominant (InvalidWeight otherwise, also for an
-    empty list) and of one length (RankMismatch otherwise).  The weight
-    with the widest spread enters as A(w + rho), so its character is
-    never divided out.
+    empty list) and of one length (RankMismatch otherwise).  The product
+    is kept as its strictly dominant exponents: it starts from A(w + rho)
+    for the weight with the widest spread, and each other character
+    enters term by term (Brauer-Klimyk).  Every weight is translated to
+    w[-1] = 0, and the translations are added back once at the end.
     """
     ws = [as_weight(w) for w in weights]
     if not ws:
@@ -162,9 +161,20 @@ def tensor_multiplicities(weights) -> dict:
     if len({len(w) for w in ws}) > 1:
         raise RankMismatch(f"weights of lengths {sorted({len(w) for w in ws})}")
     ws = [dominant_weight(w) for w in ws]
-    top = max(ws, key=lambda w: w[0] - w[-1])
+    shift = sum(w[-1] for w in ws)
+    ws = [tuple(x - w[-1] for x in w) for w in ws]
+    top = max(ws, key=lambda w: w[0])
     ws.remove(top)
-    product = signed_orbit_sum(plus_rho(top))
+    chamber = {plus_rho(top): 1}
     for w in ws:
-        product = product * _character_poly(w)
-    return _read_off(product)
+        character = _weyl_character_poly(w).terms.items()
+        product = {}
+        for v, m in chamber.items():
+            for nu, c in character:
+                x = tuple(map(add, v, nu))
+                sign = sorting_sign(x)
+                if sign:
+                    x = tuple(sorted(x, reverse=True))
+                    product[x] = product.get(x, 0) + sign * m * c
+        chamber = {v: m for v, m in product.items() if m}
+    return {minus_rho(tuple(x + shift for x in v)): m for v, m in chamber.items()}

@@ -39,7 +39,7 @@ from .grassmannian import (
     smith_type,
     special_base,
 )
-from .hilbert import defect_degree, equality_forcing_check, shifted_identity_check
+from .hilbert import defect_degree, overcount_detected, shifted_identity_check
 from .interpolation import interpolate_claim
 from .localfield import TameFieldContext
 from .primes import require_prime
@@ -147,9 +147,7 @@ def cmd_hilbert_defect(config: dict) -> dict:
     mult = tensor_multiplicities([minus_rho(w) for w in mu_list])
     shifted_ok, first_fail = shifted_identity_check(mu_list, mult, n_max)
     series, degree, degree_ok = defect_degree(mu_list, mult)
-    forcing_ok = all(
-        equality_forcing_check(mu_list, mult, {lam: 1}) for lam in mult
-    )
+    forcing_ok = all(overcount_detected(series, mu_list, {lam: 1}) for lam in mult)
     return {
         "task": "hilbert-defect",
         "verdicts": [
@@ -291,9 +289,9 @@ def _suite_hilbert(rng) -> dict:
         mu_list = _random_mu_list(rng)
         mult = tensor_multiplicities([minus_rho(w) for w in mu_list])
         shifted_ok, _ = shifted_identity_check(mu_list, mult, 8)
-        _, _, degree_ok = defect_degree(mu_list, mult)
+        series, _, degree_ok = defect_degree(mu_list, mult)
         forcing_ok = all(
-            equality_forcing_check(mu_list, mult, {lam: 1}) for lam in mult
+            overcount_detected(series, mu_list, {lam: 1}) for lam in mult
         )
         ok = ok and shifted_ok and degree_ok and forcing_ok
     return {"anchor": ANCHORS["hilbert-degree"], "name": "hilbert", "pass": ok}

@@ -13,6 +13,11 @@ verified on exact integer samples:
     D(n) = prod_i dim H0(n mu_i) - sum_lam m(lam) dim H0(n(lam+rho)) * dim H0(n rho)^(e-1)
   is a polynomial in n of degree strictly less than sum_i flag_dim(mu_i).
 
+The multiplicities come from ``tensor_multiplicities`` (Brauer-Klimyk).
+D(n) is sampled once: an overcount of k at lam adds -k T_lam(n), with
+T_lam(n) = dim H0(n(lam+rho)) * dim H0(n rho)^(e-1), to every sample, so
+``overcount_detected`` judges it on the samples of ``defect_degree``.
+
 All dimensions of possibly non-dominant arguments go through the signed
 product formula, so vanishing alternating sums are handled uniformly.
 """
@@ -31,6 +36,7 @@ __all__ = [
     "shifted_identity_check",
     "defect_degree",
     "equality_forcing_check",
+    "overcount_detected",
 ]
 
 
@@ -71,18 +77,13 @@ def dim_product(mu_list, n: int, shift: str = "none") -> int:
 
 
 def _rhs(mu_list, mult: dict, n: int, shift: str) -> int:
-    d = len(next(iter(mu_list)))
-    e = len(mu_list)
-    r = rho(d)
-    total = 0
-    for lam, m in mult.items():
-        lam_rho = plus_rho(as_weight(lam))
-        total += (
-            m
-            * dim_product([lam_rho], n, shift)
-            * dim_product([r], n, shift) ** (e - 1)
-        )
-    return total
+    """sum_lam m(lam) dim H0(n(lam+rho)) * dim H0(n rho)^(e-1), or of
+    n(lam+rho) - rho and n rho - rho when shift='minus_rho'."""
+    r = rho(len(next(iter(mu_list))))
+    return dim_product([r], n, shift) ** (len(mu_list) - 1) * sum(
+        m * dim_product([plus_rho(as_weight(lam))], n, shift)
+        for lam, m in mult.items()
+    )
 
 
 def shifted_identity_check(mu_list, mult: dict, n_max: int):
@@ -136,17 +137,27 @@ def defect_degree(mu_list, mult: dict, n_range=None):
     return series, degree, degree < series.claimed_degree_bound
 
 
-def equality_forcing_check(mu_list, mult: dict, overcount: dict, n_range=None) -> bool:
+def overcount_detected(series: DefectSeries, mu_list, overcount: dict) -> bool:
     """True iff inflating the multiplicities by ``overcount`` pushes the
-    defect degree up to (at least) sum flag_dim — i.e. the overcount is
-    detected by the degree bound."""
+    defect degree up to (at least) the claimed bound -- i.e. the overcount
+    is detected by the degree bound.
+
+    ``series`` holds the samples D(n) of the true multiplicities, as
+    ``defect_degree`` returns them; each inflated sample is D(n) minus
+    sum over lam of overcount[lam] T_lam(n), with nothing sampled again.
+    """
     if not any(x > 0 for x in overcount.values()):
         raise ValueError("overcount must have some positive entry")
     if any(x < 0 for x in overcount.values()):
         raise ValueError("overcount entries must be >= 0")
-    inflated = dict(mult)
-    for lam, extra in overcount.items():
-        lam = as_weight(lam)
-        inflated[lam] = inflated.get(lam, 0) + extra
-    series = _defect_series(mu_list, inflated, n_range)
-    return series.finite_difference_degree() >= series.claimed_degree_bound
+    inflated = tuple(
+        (n, D - _rhs(mu_list, overcount, n, "none")) for n, D in series.values
+    )
+    bound = series.claimed_degree_bound
+    return DefectSeries(inflated, bound).finite_difference_degree() >= bound
+
+
+def equality_forcing_check(mu_list, mult: dict, overcount: dict, n_range=None) -> bool:
+    """``overcount_detected`` on the defect of ``mult`` sampled over
+    n_range (default 1..sum flag_dim + 4)."""
+    return overcount_detected(_defect_series(mu_list, mult, n_range), mu_list, overcount)

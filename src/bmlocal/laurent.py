@@ -211,29 +211,27 @@ class LaurentPoly:
         return LaurentPoly(self.rank, quotient)
 
 
+def sorting_sign(v) -> int:
+    """det of the permutation sorting v into decreasing order, or 0 when
+    v has a repeated entry (v lies on a wall): (-1) to the number of
+    pairs i < j with v_i < v_j."""
+    sign = 1
+    for i, a in enumerate(v):
+        for b in v[i + 1:]:
+            if a < b:
+                sign = -sign
+            elif a == b:
+                return 0
+    return sign
+
+
 def signed_orbit_sum(v) -> LaurentPoly:
     """Sum over the symmetric group of det(w) * e(w(v)).
 
-    Vanishes when v has a repeated entry.
+    Vanishes when v has a repeated entry.  For x = w(v), det(w) is
+    sorting_sign(v) * sorting_sign(x), as both sort to the same tuple.
     """
     v = tuple(int(x) for x in v)
-    d = len(v)
-    terms = {}
-    for perm in permutations(range(d)):
-        # parity of the permutation
-        sign = 1
-        seen = [False] * d
-        for i in range(d):
-            if seen[i]:
-                continue
-            j = i
-            length = 0
-            while not seen[j]:
-                seen[j] = True
-                j = perm[j]
-                length += 1
-            if length % 2 == 0:
-                sign = -sign
-        expo = tuple(v[perm[i]] for i in range(d))
-        terms[expo] = terms.get(expo, 0) + sign
-    return LaurentPoly(d, terms)
+    sign = sorting_sign(v)
+    terms = {x: sign * sorting_sign(x) for x in permutations(v)} if sign else {}
+    return LaurentPoly(len(v), terms)

@@ -35,11 +35,19 @@ __all__ = [
 Weight = tuple  # tuple of ints, length d
 
 
+def _integer(x) -> int:
+    """x as an exact int; TypeError for a non-integer or a bool."""
+    if type(x) is bool:
+        raise TypeError("a bool is not a weight entry")
+    return operator.index(x)
+
+
 def as_weight(entries) -> Weight:
     """entries as a tuple of exact ints; InvalidWeight for an entry that is
-    not an integer (a float such as 1.5 or 2.0, a string), never truncated."""
+    not an integer (a float such as 1.5 or 2.0, a string, a bool such as
+    a JSON true), never truncated."""
     try:
-        return tuple(map(operator.index, entries))
+        return tuple(map(_integer, entries))
     except TypeError:
         raise InvalidWeight(f"{entries!r} is not a list of integers") from None
 

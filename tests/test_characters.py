@@ -4,7 +4,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bmlocal.characters import (
@@ -18,7 +18,14 @@ from bmlocal.characters import (
 )
 from bmlocal.errors import InvalidWeight, NonTerminating, RankMismatch
 from bmlocal.laurent import signed_orbit_sum
-from bmlocal.weights import is_dominant, rho
+from bmlocal.weights import (
+    as_weight,
+    dominant_weight,
+    is_dominant,
+    minus_rho,
+    plus_rho,
+    rho,
+)
 
 
 def peel(ch):
@@ -51,6 +58,29 @@ def dominant_weights(draw, d):
     shift = draw(st.one_of(st.integers(-5, 5),
                            st.sampled_from([-10**12, -10**6, 10**6, 10**15])))
     return tuple(x + shift for x in entries)
+
+
+def _reference_tensor_multiplicities(weights) -> dict:
+    """The Laurent product and read-off that the Brauer-Klimyk rule
+    replaced: A(top + rho) times the other characters in full, then the
+    strictly dominant exponents of the antisymmetric product."""
+    ws = [as_weight(w) for w in weights]
+    if not ws:
+        raise InvalidWeight("need at least one weight")
+    if len({len(w) for w in ws}) > 1:
+        raise RankMismatch(f"weights of lengths {sorted({len(w) for w in ws})}")
+    ws = [dominant_weight(w) for w in ws]
+    top = max(ws, key=lambda w: w[0] - w[-1])
+    ws.remove(top)
+    product = signed_orbit_sum(plus_rho(top))
+    for w in ws:
+        product = product * weyl_character(w).poly
+    if not product.is_antisymmetric():
+        raise NonTerminating("character times A(rho) not antisymmetric: "
+                             "input not symmetric")
+    return {
+        minus_rho(v): m for v, m in product.terms.items() if is_dominant(v)
+    }
 
 
 @st.composite
@@ -159,6 +189,27 @@ def test_decompose_virtual_matches_peeling(terms):
     got = decompose(ch)
     assert got == peel(ch)
     assert got == {w: m for w, m in want.items() if m != 0}
+
+
+# Each @example lands v + nu on a wall in some step: (1,0)^3 at (2,1) +
+# (0,1); (2,2,0)(2,0,0) at (4,3,0) + (0,1,1).
+@given(st.integers(2, 4).flatmap(
+    lambda d: st.lists(dominant_weights(d), min_size=1, max_size=4)),
+    st.randoms(use_true_random=False))
+@example([(1, 0)] * 3, random.Random(0))
+@example([(2, 2, 0), (2, 0, 0)], random.Random(0))
+@example([(10**15 + 1, 10**15), (1 - 10**12, -10**12), (10**6, 10**6)],
+         random.Random(1))
+@settings(max_examples=60, deadline=None)
+def test_tensor_multiplicities_matches_laurent_product(ws, rng):
+    want = _reference_tensor_multiplicities(ws)
+    shuffled = list(ws)
+    rng.shuffle(shuffled)
+    assert tensor_multiplicities(shuffled) == want
+    product = weyl_character(ws[0])
+    for w in ws[1:]:
+        product = product * weyl_character(w)
+    assert tensor_multiplicities(ws) == decompose(product) == want
 
 
 def test_tensor_multiplicities_refusals():

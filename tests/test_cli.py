@@ -210,7 +210,9 @@ def test_wrong_weight_count_refused(tmp_path, command):
     [("hilbert-defect", {"mu_list": [[2, 0]], "n_max": -1}),
      ("hilbert-defect", {"mu_list": [[2, 0]], "n_max": 0}),
      ("nabla-cell", {"lambda": [3, 0], "e": 0, "p": 5}),
-     ("nabla-cell", {"lambda": [3, 0], "e": -1, "p": 5})],
+     ("nabla-cell", {"lambda": [3, 0], "e": -1, "p": 5}),
+     ("bk-torsor", {"field": {"p": 5, "e": 0}, "C": [[[1]]], "g": [[[1]]],
+                    "N": 1, "modulus": 8})],
 )
 def test_vacuous_check_refused(tmp_path, command, config):
     code, text = run_cli(tmp_path, command, config)
@@ -227,6 +229,20 @@ def test_vacuous_check_refused(tmp_path, command, config):
      ("nabla-cell", {"lambda": [3.9, 0], "e": 2, "p": 5})],
 )
 def test_non_integer_weight_entry_rejected(tmp_path, command, config):
+    code, text = run_cli(tmp_path, command, config)
+    assert code == 1
+    report = json.loads(text)
+    assert report["error"] == "InvalidWeight" and not report["pass"]
+    assert "not a list of integers" in report["message"]
+
+
+@pytest.mark.parametrize(
+    "command, config",
+    [("decompose", {"weights": [[True, False], [1, 0]]}),
+     ("hilbert-defect", {"mu_list": [[2, 0], [True, False]]}),
+     ("nabla-cell", {"lambda": [True, False], "e": 2, "p": 5})],
+)
+def test_boolean_weight_entry_rejected(tmp_path, command, config):
     code, text = run_cli(tmp_path, command, config)
     assert code == 1
     report = json.loads(text)

@@ -3,18 +3,22 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bmlocal.characters import decompose, weyl_character
+from bmlocal.characters import decompose, tensor_multiplicities, weyl_character
 from bmlocal.errors import BoundViolated, WindowTooShort
 from bmlocal.hilbert import (
     DefectSeries,
+    _defect_series,
     defect_degree,
     defect_values,
     dim_product,
     equality_forcing_check,
+    overcount_detected,
     shifted_identity_check,
 )
-from bmlocal.weights import flag_dim, rho
+from bmlocal.weights import as_weight, flag_dim, minus_rho, rho
 
 
 def true_multiplicities(mu_list):
@@ -82,6 +86,78 @@ def test_equality_forcing_detects_every_overcount():
                 mu_list,
                 lam,
             )
+
+
+def _reference_equality_forcing_check(mu_list, mult, overcount, n_range=None):
+    """The per-overcount re-sampling that overcount_detected replaced: add
+    the overcount to the multiplicities and sample the whole defect again."""
+    if not any(x > 0 for x in overcount.values()):
+        raise ValueError("overcount must have some positive entry")
+    if any(x < 0 for x in overcount.values()):
+        raise ValueError("overcount entries must be >= 0")
+    inflated = dict(mult)
+    for lam, extra in overcount.items():
+        lam = as_weight(lam)
+        inflated[lam] = inflated.get(lam, 0) + extra
+    series = _defect_series(mu_list, inflated, n_range)
+    return series.finite_difference_degree() >= series.claimed_degree_bound
+
+
+@st.composite
+def forcing_cases(draw):
+    """A mu_list (e = 1-3, d = 2-3, mu - rho dominant, translated), the
+    multiplicities to sample and an overcount with extras of 1-3.
+
+    The sampled multiplicities are the true ones, or the true ones with a
+    deficit k at some lam0 that the overcount may restore exactly (then
+    the defect keeps its low degree: not detected).  Besides weights of
+    the decomposition, the overcount may hold a dominant weight outside it
+    or a weight whose rho-shift lies on a wall (whose samples vanish)."""
+    d = draw(st.integers(2, 3))
+    mu_list = []
+    for _ in range(draw(st.integers(1, 3))):
+        gaps = draw(st.lists(st.integers(1, 3), min_size=d - 1, max_size=d - 1))
+        mu = [draw(st.sampled_from([0, 3, -7, 10**6, -10**6]))]
+        for g in reversed(gaps):
+            mu.insert(0, mu[0] + g)
+        mu_list.append(tuple(mu))
+    mult = tensor_multiplicities([minus_rho(w) for w in mu_list])
+    weights = sorted(mult)
+    overcount = {}
+    if draw(st.booleans()):
+        lam0 = draw(st.sampled_from(weights))
+        k = draw(st.integers(1, 3))
+        mult = {**mult, lam0: mult[lam0] - k}
+        overcount[lam0] = k
+    for lam in draw(st.lists(st.sampled_from(weights), max_size=2)):
+        overcount[lam] = overcount.get(lam, 0) + draw(st.integers(1, 3))
+    total = sum(weights[0])  # the one total every weight of mult has
+    outside = (total + 10**9,) + (0,) * (d - 2) + (-10**9,)
+    wall = (0, 1) + (0,) * (d - 2)
+    for lam in (outside, wall):
+        if draw(st.booleans()) or not overcount:
+            overcount[lam] = draw(st.integers(1, 3))
+    return mu_list, mult, overcount
+
+
+def _outcome(check, *args):
+    try:
+        return check(*args)
+    except WindowTooShort:
+        return WindowTooShort
+
+
+@given(forcing_cases())
+@settings(max_examples=60, deadline=None)
+def test_one_defect_sample_matches_resampling(case):
+    mu_list, mult, overcount = case
+    want = _outcome(_reference_equality_forcing_check, mu_list, mult, overcount)
+    assert _outcome(equality_forcing_check, mu_list, mult, overcount) == want
+    series, _, _ = defect_degree(mu_list, mult)
+    assert _outcome(overcount_detected, series, mu_list, overcount) == want
+    for lam in mult:
+        assert overcount_detected(series, mu_list, {lam: 1}) == (
+            _reference_equality_forcing_check(mu_list, mult, {lam: 1}))
 
 
 def test_finite_differences():

@@ -1,12 +1,14 @@
 """Ring axioms and symmetry predicates for multivariate Laurent polynomials."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bmlocal.errors import InexactDivision, RankMismatch
 from bmlocal.characters import weyl_character
-from bmlocal.laurent import LaurentPoly, signed_orbit_sum
+from bmlocal.laurent import LaurentPoly, signed_orbit_sum, sorting_sign
 
 RANK = 3
 
@@ -60,6 +62,40 @@ def test_signed_orbit_sum_antisymmetric():
     assert not a.is_symmetric()
     # repeated entries collapse to zero
     assert signed_orbit_sum((2, 2, 0)).is_zero()
+
+
+def _reference_signed_orbit_sum(v):
+    """sum det(w) e(w(v)) with det(w) from a cycle walk of each permutation,
+    the parity routine that sorting_sign replaced."""
+    d = len(v)
+    terms = {}
+    for perm in itertools.permutations(range(d)):
+        sign = 1
+        seen = [False] * d
+        for i in range(d):
+            if seen[i]:
+                continue
+            j = i
+            length = 0
+            while not seen[j]:
+                seen[j] = True
+                j = perm[j]
+                length += 1
+            if length % 2 == 0:
+                sign = -sign
+        expo = tuple(v[perm[i]] for i in range(d))
+        terms[expo] = terms.get(expo, 0) + sign
+    return LaurentPoly(d, terms)
+
+
+def test_signed_orbit_sum_matches_cycle_walk():
+    for d in range(1, 5):
+        for v in itertools.product(range(-1, d), repeat=d):
+            assert signed_orbit_sum(v) == _reference_signed_orbit_sum(v), v
+    assert sorting_sign((3, 1, 0)) == 1
+    assert sorting_sign((1, 3, 0)) == -1
+    assert sorting_sign((0, 1, 2, 3)) == 1  # two transpositions sort it
+    assert sorting_sign((2, 0, 2)) == 0
 
 
 def test_exact_division_round_trip():

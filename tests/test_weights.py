@@ -128,6 +128,15 @@ def test_as_weight_takes_exact_integers_only():
             as_weight(bad)
 
 
+def test_as_weight_refuses_booleans():
+    # operator.index(True) is 1: a bool must not pass as the entry 1
+    for bad in ([True, False], [2, True], (False,), [np.True_, 0]):
+        with pytest.raises(InvalidWeight, match="not a list of integers"):
+            as_weight(bad)
+    with pytest.raises(InvalidWeight, match="not a list of integers"):
+        dominant_weight([True, False])
+
+
 def test_dominant_weight_refuses_non_integers_and_non_dominant():
     assert dominant_weight([2, 2, -1]) == (2, 2, -1)
     assert dominant_weight(np.array([5, 1])) == (5, 1)
